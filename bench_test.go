@@ -515,9 +515,8 @@ func BenchmarkPlacement(b *testing.B) {
 // step count: a full simulated-annealing search over MLP-L layouts with
 // the pipeline engine as the objective, every run sharing one
 // fingerprint-keyed evaluation cache (the repeated-search pattern of
-// ComparePlacements and serve recompilation — search is deterministic,
-// so revisited layouts are priced exactly once across the whole
-// benchmark). steps/s is the candidate-evaluation rate, cache-hit-% the
+// serve recompilation — search is deterministic, so revisited layouts
+// are priced exactly once across the whole benchmark). steps/s is the candidate-evaluation rate, cache-hit-% the
 // evaluator's cumulative hit rate (the acceptance floor is ≥50%), and
 // inf/s the searched layout's engine-measured objective.
 func BenchmarkPlacerSearch(b *testing.B) {

@@ -126,10 +126,6 @@ func run(args []string, out io.Writer) error {
 		for _, b := range batches {
 			maxB = max(maxB, b)
 		}
-		placers, err := parsePlacers(*placerNames)
-		if err != nil {
-			return err
-		}
 		d := arch.EinsteinBarrier
 		if len(designs) > 1 {
 			return fmt.Errorf("-fig placement compares placers on ONE design; got %d in -designs", len(designs))
@@ -137,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		if len(designs) == 1 {
 			d = designs[0]
 		}
-		rows, err := eval.ComparePlacements(cfg, nil, placers, d, maxB)
+		rows, err := eval.ComparePlacements(cfg, nil, splitList(*placerNames), d, maxB)
 		if err != nil {
 			return err
 		}
@@ -168,25 +164,18 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// parsePlacers validates a comma-separated placer list; empty means the
-// full built-in set (search included). Heuristic names go through
-// compiler.ParsePlacer; "search" is legal here because ComparePlacements
-// builds the model-bound search placers itself.
-func parsePlacers(names string) ([]string, error) {
+// splitList splits a comma-separated list into trimmed names; empty
+// means nil (the callee's default set). eval.ComparePlacements
+// resolves and validates placer names itself, search included.
+func splitList(names string) []string {
 	if strings.TrimSpace(names) == "" {
-		return nil, nil
+		return nil
 	}
 	var out []string
 	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n != "search" {
-			if _, err := compiler.ParsePlacer(n); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, n)
+		out = append(out, strings.TrimSpace(n))
 	}
-	return out, nil
+	return out
 }
 
 // parseDesigns resolves a comma-separated design list through the

@@ -231,26 +231,10 @@ func buildRouter(o options, design arch.Design) (*serve.Router, serve.FabricSnap
 	}
 	evalCfg := eval.DefaultConfig()
 	evalCfg.Seed = o.seed
-	var cs []*compiler.Compiled
-	var es *sim.EngineSet
-	if o.placer == "search" {
-		// Interference-aware co-location: anneal each model's region
-		// against the set's Jain-penalized aggregate throughput.
-		evalCfg.Search = eval.SearchSpec{Steps: o.searchSteps, Seed: o.searchSeed, Batch: o.searchBatch}
-		var err error
-		cs, es, _, err = eval.SearchCoLocate(evalCfg, names, design, o.maxBatch)
-		if err != nil {
-			return nil, snap, err
-		}
-	} else {
-		placer, err := compiler.ParsePlacer(o.placer)
-		if err != nil {
-			return nil, snap, err
-		}
-		cs, es, err = eval.CoLocate(evalCfg, names, design, placer)
-		if err != nil {
-			return nil, snap, err
-		}
+	evalCfg.Search = eval.SearchSpec{Steps: o.searchSteps, Seed: o.searchSeed, Batch: o.searchBatch}
+	cs, es, _, err := eval.CoLocate(evalCfg, names, design, o.placer, o.maxBatch)
+	if err != nil {
+		return nil, snap, err
 	}
 	sr, err := es.RunSet(o.maxBatch)
 	if err != nil {

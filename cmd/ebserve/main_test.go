@@ -146,7 +146,7 @@ func TestMultiModelRouter(t *testing.T) {
 }
 
 // TestMultiModelRouterSearchPlacer: `-placer search` routes through
-// eval.SearchCoLocate — the fabric snapshot reports the searched
+// eval.CoLocate with "search" — the fabric snapshot reports the searched
 // layouts and the endpoints serve as usual.
 func TestMultiModelRouterSearchPlacer(t *testing.T) {
 	o := options{

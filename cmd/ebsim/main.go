@@ -70,17 +70,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-trace-candidate needs -placer search")
 	}
 
-	// "search" is model-bound (it compiles and prices candidates itself),
-	// so it is constructed after the model and design are known; the
-	// heuristics parse here.
-	var placer compiler.Placer
-	if *placerName != "search" {
-		var err error
-		placer, err = compiler.ParsePlacer(*placerName)
-		if err != nil {
-			return err
-		}
-	}
 	cfg := arch.DefaultConfig()
 	if *k > 0 {
 		cfg.WDMCapacity = *k
@@ -94,17 +83,13 @@ func run(args []string, out io.Writer) error {
 		// objective evaluation.
 		candRec = trace.New(3*(*searchSteps) + 64)
 	}
-	search := eval.SearchSpec{Steps: *searchSteps, Seed: *searchSeed, Batch: *searchBatch, Trace: candRec}
+	evalCfg := eval.DefaultConfig()
+	evalCfg.Arch = cfg
+	evalCfg.Seed = *seed
+	evalCfg.Search = eval.SearchSpec{Steps: *searchSteps, Seed: *searchSeed, Batch: *searchBatch, Trace: candRec}
 
 	if *models != "" {
-		names := strings.Split(*models, ",")
-		var err error
-		if placer == nil {
-			err = runSearchCoLocation(out, names, *design, cfg, *seed, *batch, search, *traceOut, *traceCSV)
-		} else {
-			err = runCoLocation(out, names, *design, placer, cfg, *seed, *batch, *traceOut, *traceCSV)
-		}
-		if err != nil {
+		if err := runCoLocation(out, strings.Split(*models, ","), *design, *placerName, evalCfg, *batch, *traceOut, *traceCSV); err != nil {
 			return err
 		}
 		return writeTraceFiles(candRec, *traceCand, "")
@@ -132,40 +117,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	s, err := sim.New(cfg, energy.DefaultCostParams())
-	if err != nil {
-		return err
-	}
-	var sp *compiler.SearchPlacer
-	var pe *sim.PlacementEvaluator
-	if placer == nil {
-		sb := search.Batch
-		if sb == 0 {
-			sb = *batch
-		}
-		if pe, err = s.PlacementEvaluator(sb); err != nil {
-			return err
-		}
-		sp, err = compiler.NewSearchPlacer(m, cfg, d, pe, compiler.SearchOptions{Steps: search.Steps, Seed: search.Seed, Trace: candRec})
-		if err != nil {
-			return err
-		}
-		placer = sp
-	}
 	searchStart := time.Now()
-	c, err := compiler.CompileWith(m, cfg, d, compiler.Options{Placer: placer})
+	c, ms, err := eval.Place(evalCfg, m, d, *placerName, *batch)
 	searchDur := time.Since(searchStart)
 	if err != nil {
 		return err
-	}
-	if !c.Placement.Exact {
-		// Greedy programs carry the allocator's average-hop estimate;
-		// tighten the SENDs from the implied layout before pricing (the
-		// legacy PlaceAndRewrite pass). Exact placers stamped real hops
-		// at compile time.
-		if _, err := compiler.PlaceAndRewrite(c, cfg); err != nil {
-			return err
-		}
 	}
 	if *dumpProgram {
 		for _, sec := range c.Program.Sections() {
@@ -175,6 +131,10 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprint(out, sec.Ins.String())
 		}
 		return nil
+	}
+	s, err := sim.New(cfg, evalCfg.Costs)
+	if err != nil {
+		return err
 	}
 	eng, err := s.NewEngine(c)
 	if err != nil {
@@ -196,23 +156,20 @@ func run(args []string, out io.Writer) error {
 	hops, chipHops := sendHops(c)
 	fmt.Fprintf(out, "  placement:            %s, %d layer spans over %d tiles, %d total hops, %d chip hops\n",
 		c.Placement.Placer, len(c.Placement.Layers), c.Placement.TotalTiles(spec.EffectiveArch(cfg)), hops, chipHops)
-	if sp != nil {
-		st := sp.Stats()
+	if ms != nil {
+		st, ec := ms.Stats, ms.Eval
 		improved := "matched the best heuristic"
 		if st.Improved {
 			improved = "beat the heuristics"
 		}
 		fmt.Fprintf(out, "  search:               %d evals over %d rounds, %d accepted; best from %s (%s), objective %.0f inf/s\n",
 			st.Steps, st.Rounds, st.Accepted, st.BestFrom, improved, st.BestScore)
-		if pe != nil {
-			ec := pe.Counters()
-			rate := 0.0
-			if searchDur > 0 {
-				rate = float64(st.Steps) / searchDur.Seconds()
-			}
-			fmt.Fprintf(out, "  search eval:          %.0f candidates/s, cache hit %.1f%%, engine reuse %.1f%% (%d engine runs)\n",
-				rate, 100*ec.HitRate(), 100*ec.PoolReuseRate(), ec.Computes)
+		rate := 0.0
+		if searchDur > 0 {
+			rate = float64(st.Steps) / searchDur.Seconds()
 		}
+		fmt.Fprintf(out, "  search eval:          %.0f candidates/s, cache hit %.1f%%, engine reuse %.1f%% (%d engine runs)\n",
+			rate, 100*ec.HitRate(), 100*ec.PoolReuseRate(), ec.Computes)
 	}
 	if lc, err := sim.WeightLoadCost(c, cfg); err == nil {
 		fmt.Fprintf(out, "  weight load (once):   %.2f us, %.2f uJ for %d writes\n",
@@ -329,65 +286,12 @@ func sendHops(c *compiler.Compiled) (hops, chipHops int) {
 }
 
 // runCoLocation compiles several models onto one shared fabric with
-// disjoint regions and prints the co-location drill-down: per-model
-// regions, isolated vs co-located throughput, and the fabric's
-// fairness/interference report.
-func runCoLocation(out io.Writer, names []string, designName string, placer compiler.Placer, cfg arch.Config, seed int64, batch int, traceJSON, traceCSV string) error {
-	d, err := arch.ParseDesign(designName)
-	if err != nil {
-		return err
-	}
-	var ms []*bnn.Model
-	for _, n := range names {
-		m, err := bnn.NewModel(strings.TrimSpace(n), seed)
-		if err != nil {
-			return err
-		}
-		ms = append(ms, m)
-	}
-	spec, err := d.Spec()
-	if err != nil {
-		return err
-	}
-	ecfg := spec.EffectiveArch(cfg)
-	cs, err := compiler.CompileSet(ms, cfg, d, compiler.SetOptions{Placer: placer})
-	if err != nil {
-		return err
-	}
-	s, err := sim.New(cfg, energy.DefaultCostParams())
-	if err != nil {
-		return err
-	}
-	es, err := s.NewEngineSet(cs)
-	if err != nil {
-		return err
-	}
-	rec := enableSetTrace(es, batch, traceJSON, traceCSV)
-	r, err := es.RunSet(batch)
-	if err != nil {
-		return err
-	}
-	if err := writeTraceFiles(rec, traceJSON, traceCSV); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "co-location of %d models on %v (placer %s, batch %d)\n", len(cs), d, placer.Name(), batch)
-	fmt.Fprintf(out, "  %-8s %-18s %6s %12s %12s %10s %14s\n",
-		"model", "region", "tiles", "iso inf/s", "co inf/s", "slowdown", "link wait us")
-	for i, mr := range r.Models {
-		fmt.Fprintf(out, "  %-8s %-18s %6d %12.0f %12.0f %9.4fx %14.2f\n",
-			mr.ModelName, mr.Region.String(), cs[i].Placement.TotalTiles(ecfg),
-			mr.IsolatedPerSec, mr.ThroughputPerSec, mr.SlowdownX, mr.LinkWaitNs/1e3)
-	}
-	fmt.Fprintf(out, "  fabric: %.0f inf/s aggregate, fairness %.4f (Jain), interference wait %.2f us, makespan %.2f us\n",
-		r.AggregatePerSec, r.FairnessJain, r.InterferenceWaitNs/1e3, r.MakespanNs/1e3)
-	return nil
-}
-
-// runSearchCoLocation is runCoLocation's interference-aware sibling:
-// eval.SearchCoLocate carves the fabric with the shard placer, then
-// anneals each model's region against the WHOLE set's Jain-penalized
-// aggregate throughput (sim.SetEvaluator).
-func runSearchCoLocation(out io.Writer, names []string, designName string, cfg arch.Config, seed int64, batch int, search eval.SearchSpec, traceJSON, traceCSV string) error {
+// disjoint regions through eval.CoLocate — "search" anneals each
+// model's region against the WHOLE set's Jain-penalized aggregate
+// throughput — and prints the co-location drill-down: per-model
+// regions, isolated vs co-located throughput, the fabric's
+// fairness/interference report, and one line per searched model.
+func runCoLocation(out io.Writer, names []string, designName, placer string, cfg eval.Config, batch int, traceJSON, traceCSV string) error {
 	d, err := arch.ParseDesign(designName)
 	if err != nil {
 		return err
@@ -396,15 +300,11 @@ func runSearchCoLocation(out io.Writer, names []string, designName string, cfg a
 	if err != nil {
 		return err
 	}
-	ecfg := spec.EffectiveArch(cfg)
-	evalCfg := eval.DefaultConfig()
-	evalCfg.Arch = cfg
-	evalCfg.Seed = seed
-	evalCfg.Search = search
+	ecfg := spec.EffectiveArch(cfg.Arch)
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	cs, es, msearch, err := eval.SearchCoLocate(evalCfg, names, d, batch)
+	cs, es, msearch, err := eval.CoLocate(cfg, names, d, placer, batch)
 	if err != nil {
 		return err
 	}
@@ -416,7 +316,7 @@ func runSearchCoLocation(out io.Writer, names []string, designName string, cfg a
 	if err := writeTraceFiles(rec, traceJSON, traceCSV); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "co-location of %d models on %v (placer search, batch %d)\n", len(cs), d, batch)
+	fmt.Fprintf(out, "co-location of %d models on %v (placer %s, batch %d)\n", len(cs), d, cs[0].Placement.Placer, batch)
 	fmt.Fprintf(out, "  %-8s %-18s %6s %12s %12s %10s %14s\n",
 		"model", "region", "tiles", "iso inf/s", "co inf/s", "slowdown", "link wait us")
 	for i, mr := range r.Models {

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"einsteinbarrier/internal/arch"
+	"einsteinbarrier/internal/eval"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -85,6 +89,32 @@ func TestPlacerDrillDown(t *testing.T) {
 	}
 	if err := run([]string{"-placer", "warp"}, io.Discard); err == nil {
 		t.Fatal("unknown placer must error")
+	}
+}
+
+// TestOneAnswerPerModelDesign: one model × design × placer gets one
+// price whichever command asks — ebsim's drill-down reports the same
+// SEND hops, chip hops, fill latency and pipelined throughput as the
+// eval.ComparePlacements row benchfig -fig placement prints.
+func TestOneAnswerPerModelDesign(t *testing.T) {
+	placers := []string{"greedy", "mesh", "shard"}
+	rows, err := eval.ComparePlacements(eval.DefaultConfig(), []string{"CNN-L"}, placers, arch.EinsteinBarrier, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range placers {
+		out := runOK(t, "-model", "CNN-L", "-design", "eb", "-placer", p, "-batch", "64")
+		r := rows[i]
+		for _, want := range []string{
+			fmt.Sprintf("placement:            %s, ", r.Placer),
+			fmt.Sprintf(", %d total hops, %d chip hops\n", r.TotalHops, r.ChipHops),
+			fmt.Sprintf("  latency:              %.2f us\n", r.LatencyNs/1e3),
+			fmt.Sprintf("pipeline (batch 64):  %.0f inf/s achieved,", r.ThroughputPerSec),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: ebsim drill-down lacks the ComparePlacements figure %q:\n%s", p, want, out)
+			}
+		}
 	}
 }
 

@@ -225,7 +225,7 @@ func (p *Placement) Fingerprint() string {
 	r := p.Region
 	n := 24
 	for _, lp := range p.Layers {
-		n += 1 + len(lp.Shards) * 8
+		n += 1 + len(lp.Shards)*8
 		for _, sh := range lp.Shards {
 			n += 4 * len(sh.Tiles)
 		}
@@ -308,10 +308,11 @@ type Placer interface {
 	Place(layers []LayerDemand, cfg arch.Config, region Region) (*Placement, error)
 }
 
-// ParsePlacer resolves a CLI name. The search placer cannot be built
-// from a bare name — it is bound to one model and an engine-backed
-// evaluator — so "search" gets a pointer to NewSearchPlacer instead of
-// the generic unknown-placer error.
+// ParsePlacer resolves a heuristic placer name. The search placer
+// cannot be built from a bare name — it is bound to one model and an
+// engine-backed evaluator — so "search" gets a pointer to the eval
+// entry points that build it instead of the generic unknown-placer
+// error.
 func ParsePlacer(name string) (Placer, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "greedy":
@@ -321,7 +322,7 @@ func ParsePlacer(name string) (Placer, error) {
 	case "shard":
 		return ShardPlacer{}, nil
 	case "search":
-		return nil, fmt.Errorf("compiler: the search placer is model-bound — construct it with NewSearchPlacer and an engine evaluator (the CLIs wire -placer search through eval/sim)")
+		return nil, fmt.Errorf("compiler: the search placer is model-bound — place by name with eval.Place or eval.CoLocate, which build NewSearchPlacer over an engine evaluator")
 	}
 	return nil, fmt.Errorf("compiler: unknown placer %q (have %s)", name, strings.Join(PlacerNames, ", "))
 }
@@ -329,10 +330,6 @@ func ParsePlacer(name string) (Placer, error) {
 // PlacerNames lists the built-in placers (heuristics plus the
 // annealing search placer, which needs NewSearchPlacer).
 var PlacerNames = []string{"greedy", "mesh", "shard", "search"}
-
-// HeuristicPlacerNames lists the one-shot placers ParsePlacer can build
-// from a bare name — the search placer's warm starts.
-var HeuristicPlacerNames = []string{"greedy", "mesh", "shard"}
 
 // vcoresPerTileOf returns the VCore capacity of one tile.
 func vcoresPerTileOf(cfg arch.Config) int { return cfg.ECoresPerTile * cfg.VCoresPerECore }
@@ -463,10 +460,10 @@ func shelfPlace(name string, layers []LayerDemand, cfg arch.Config, region Regio
 	per := vcoresPerTileOf(cfg)
 	w := cfg.MeshWidth()
 	p := &Placement{Placer: name, Region: region, Exact: true}
-	chip := 0      // region-relative chip index
-	shelfY := 0    // top row of the current shelf, region-relative
-	shelfX := 0    // next free column on the shelf
-	shelfH := 0    // height of the current shelf
+	chip := 0   // region-relative chip index
+	shelfY := 0 // top row of the current shelf, region-relative
+	shelfX := 0 // next free column on the shelf
+	shelfH := 0 // height of the current shelf
 	chipTiles := func(c int) bool { return c < region.Chips }
 	// tilesOf collects the row-major tiles of a rect at (x0,y0), w0×h0,
 	// clipped to `take` tiles (the rect may over-cover the demand).
@@ -565,4 +562,3 @@ func routeHops(mesh noc.Config, cfg arch.Config, srcChip, srcTile, dstChip, dstT
 	}
 	return out + in, mesh.ChipDistance(srcChip, dstChip), nil
 }
-

@@ -290,7 +290,7 @@ func TestRegionRelativeRoundTrip(t *testing.T) {
 }
 
 func TestParsePlacer(t *testing.T) {
-	for _, name := range HeuristicPlacerNames {
+	for _, name := range []string{"greedy", "mesh", "shard"} {
 		p, err := ParsePlacer(name)
 		if err != nil {
 			t.Fatal(err)
@@ -303,10 +303,12 @@ func TestParsePlacer(t *testing.T) {
 		t.Fatalf("empty placer should default to greedy, got %v/%v", p, err)
 	}
 	// The search placer is model-bound: the name is reserved and the
-	// error points the caller at NewSearchPlacer instead of the generic
-	// unknown-placer message.
-	if _, err := ParsePlacer("search"); err == nil || !strings.Contains(err.Error(), "NewSearchPlacer") {
-		t.Fatalf("ParsePlacer(search) = %v, want a NewSearchPlacer pointer", err)
+	// error points the caller at the eval entry points that build it
+	// instead of the generic unknown-placer message.
+	if _, err := ParsePlacer("search"); err == nil ||
+		!strings.Contains(err.Error(), "eval.Place") || !strings.Contains(err.Error(), "eval.CoLocate") ||
+		!strings.Contains(err.Error(), "NewSearchPlacer") {
+		t.Fatalf("ParsePlacer(search) = %v, want a pointer to eval.Place/eval.CoLocate", err)
 	}
 	// Unknown names list every valid placer so callers can self-correct.
 	_, err := ParsePlacer("nope")
@@ -316,6 +318,119 @@ func TestParsePlacer(t *testing.T) {
 	for _, name := range PlacerNames {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown-placer error %q does not list %q", err, name)
+		}
+	}
+}
+
+// heuristicPlacers are the one-shot placers ParsePlacer builds by name.
+var heuristicPlacers = []Placer{GreedyPlacer{}, MeshPlacer{}, ShardPlacer{}}
+
+// TestPlacementAcrossDesigns: every zoo network places under every
+// heuristic on every paper design into a valid layout and a valid
+// program whose SEND hops fit the mesh; layout-exact programs' final
+// SEND egresses the logits to the host.
+func TestPlacementAcrossDesigns(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	for _, name := range bnn.ZooNames {
+		m := mustModel(t, name)
+		for _, d := range []arch.Design{arch.BaselineEPCM, arch.TacitEPCM, arch.EinsteinBarrier} {
+			spec, err := d.Spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ecfg := spec.EffectiveArch(cfg)
+			maxHops := 2 * (ecfg.MeshWidth() - 1)
+			for _, p := range heuristicPlacers {
+				c, err := CompileWith(m, cfg, d, Options{Placer: p})
+				if err != nil {
+					t.Fatalf("%s/%v/%s: %v", name, d, p.Name(), err)
+				}
+				if err := c.Placement.Validate(ecfg); err != nil {
+					t.Fatalf("%s/%v/%s: %v", name, d, p.Name(), err)
+				}
+				if err := c.Program.Validate(); err != nil {
+					t.Fatalf("%s/%v/%s: program invalid: %v", name, d, p.Name(), err)
+				}
+				var last isa.Instruction
+				for _, in := range c.Program {
+					if in.Op != isa.OpSend {
+						continue
+					}
+					if in.ChipHops == 0 && in.Hops > maxHops {
+						t.Fatalf("%s/%v/%s: on-chip SEND with %d hops exceeds mesh diameter %d",
+							name, d, p.Name(), in.Hops, maxHops)
+					}
+					last = in
+				}
+				if c.Placement.Exact && last.ChipHops != 1 {
+					t.Fatalf("%s/%v/%s: final SEND must egress to the host", name, d, p.Name())
+				}
+			}
+		}
+	}
+}
+
+// TestPlacementSpansConsistent: every shard of every placed layer sits
+// on a real chip and real tiles.
+func TestPlacementSpansConsistent(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	m := mustModel(t, "MLP-M")
+	for _, p := range heuristicPlacers {
+		c, err := CompileWith(m, cfg, arch.TacitEPCM, Options{Placer: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lp := range c.Placement.Layers {
+			for _, sh := range lp.Shards {
+				if sh.Chip < 0 || sh.Chip >= cfg.Nodes {
+					t.Fatalf("%s/%s: chip %d out of range", p.Name(), lp.Name, sh.Chip)
+				}
+				if len(sh.Tiles) == 0 {
+					t.Fatalf("%s/%s: empty shard", p.Name(), lp.Name)
+				}
+				for _, tile := range sh.Tiles {
+					if tile < 0 || tile >= cfg.TilesPerNode {
+						t.Fatalf("%s/%s: tile %d out of range", p.Name(), lp.Name, tile)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlacementLocalityBeatsWorstCase: the mesh placer keeps
+// consecutive layers close, so its layout-exact SEND hops average well
+// below the mesh diameter.
+func TestPlacementLocalityBeatsWorstCase(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	m := mustModel(t, "CNN-S")
+	c, err := CompileWith(m, cfg, arch.TacitEPCM, Options{Placer: MeshPlacer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Placement.Exact {
+		t.Fatal("mesh placement must carry layout-exact hops")
+	}
+	hops, sends := 0, 0
+	for _, in := range c.Program {
+		if in.Op == isa.OpSend {
+			hops += in.Hops
+			sends++
+		}
+	}
+	diameter := 2 * (cfg.MeshWidth() - 1)
+	if avg := float64(hops) / float64(sends); avg > float64(diameter)/2 {
+		t.Fatalf("average hops %.1f too high for a local layout", avg)
+	}
+}
+
+func TestPlacementRejectsBadConfig(t *testing.T) {
+	bad := arch.DefaultConfig()
+	bad.Nodes = 0
+	m := mustModel(t, "MLP-S")
+	for _, p := range heuristicPlacers {
+		if _, err := CompileWith(m, bad, arch.TacitEPCM, Options{Placer: p}); err == nil {
+			t.Fatalf("%s: expected config error", p.Name())
 		}
 	}
 }

@@ -44,7 +44,7 @@ type Config struct {
 	// NetworkResult.Results.
 	Designs []arch.Design
 	// Search parameterizes the annealing placer wherever a placement
-	// experiment names "search" (ComparePlacements, SearchCoLocate).
+	// experiment names "search" (Place, CoLocate, ComparePlacements).
 	Search SearchSpec
 }
 

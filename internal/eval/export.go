@@ -3,7 +3,6 @@ package eval
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -92,14 +91,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ReadJSONSummary parses a JSON report back (round-trip support for
-// archival comparisons).
-func ReadJSONSummary(r io.Reader) (Summary, error) {
-	var jr jsonReport
-	if err := json.NewDecoder(r).Decode(&jr); err != nil {
-		return Summary{}, fmt.Errorf("eval: %w", err)
-	}
-	return jr.Summary, nil
 }

@@ -53,12 +53,10 @@ type PlacementRow struct {
 // ComparePlacements runs every zoo network named in networks (nil means
 // all) under every placer named in placers (nil means all registered
 // names, search included), on one design, and reports the table rows.
-// Heuristic names resolve through compiler.ParsePlacer; "search" builds
-// a per-network SearchPlacer whose objective is Engine.RunBatch
-// throughput at cfg.Search.Batch (0 = the table's batch), sharing one
-// fingerprint-keyed evaluation cache across networks. Jobs fan out over
-// cfg.Workers (the search itself then runs serial candidates inside its
-// job); the result is deterministic at any worker count.
+// Each row is placed by Place — "search" anneals on Engine.RunBatch
+// throughput at cfg.Search.Batch (0 = the table's batch). Jobs fan out
+// over cfg.Workers (the search itself then runs serial candidates
+// inside its job); the result is deterministic at any worker count.
 func ComparePlacements(cfg Config, networks []string, placers []string, d arch.Design, batch int) ([]PlacementRow, error) {
 	if len(networks) == 0 {
 		networks = bnn.ZooNames
@@ -73,6 +71,11 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
+	for _, pname := range placers {
+		if _, err := heuristic(pname); err != nil {
+			return nil, err
+		}
+	}
 	// Tile accounting must use the design's effective geometry (TuneArch
 	// hooks may resize the fabric the placement was computed against).
 	ecfg := spec.EffectiveArch(cfg.Arch)
@@ -80,29 +83,10 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 	if err != nil {
 		return nil, err
 	}
-	// Resolve placer names up front; "search" shares one evaluation
-	// cache (keyed by model/design/fingerprint) across every network.
-	heuristics := make([]compiler.Placer, len(placers))
-	var pe *sim.PlacementEvaluator
-	for i, pname := range placers {
-		if pname == "search" {
-			if pe == nil {
-				sb := cfg.Search.Batch
-				if sb == 0 {
-					sb = batch
-				}
-				pe, err = simulator.PlacementEvaluator(sb)
-				if err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		heuristics[i], err = compiler.ParsePlacer(pname)
-		if err != nil {
-			return nil, err
-		}
-	}
+	// The outer Map already saturates the pool; a nested search
+	// evaluates its candidates serially.
+	jobCfg := cfg
+	jobCfg.Workers = 1
 	np := len(placers)
 	return infer.Map(cfg.Workers, len(networks)*np, func(_, j int) (PlacementRow, error) {
 		name, pname := networks[j/np], placers[j%np]
@@ -111,26 +95,12 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 		if err != nil {
 			return row, err
 		}
-		placer := heuristics[j%np]
-		var sp *compiler.SearchPlacer
-		if placer == nil {
-			// The outer Map already saturates the pool; the nested
-			// search evaluates its candidates serially.
-			sp, err = compiler.NewSearchPlacer(m, cfg.Arch, d, pe, compiler.SearchOptions{
-				Steps: cfg.Search.Steps, Seed: cfg.Search.Seed, Workers: 1,
-			})
-			if err != nil {
-				return row, fmt.Errorf("eval: %s/%s: %w", name, pname, err)
-			}
-			placer = sp
-		}
-		c, err := compiler.CompileWith(m, cfg.Arch, d, compiler.Options{Placer: placer})
+		c, ms, err := Place(jobCfg, m, d, pname, batch)
 		if err != nil {
 			return row, fmt.Errorf("eval: %s/%s: %w", name, pname, err)
 		}
-		if sp != nil {
-			st := sp.Stats()
-			row.Search = &st
+		if ms != nil {
+			row.Search = &ms.Stats
 		}
 		row.VCores = c.VCoresUsed
 		row.Tiles = c.Placement.TotalTiles(ecfg)
@@ -142,11 +112,11 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 		}
 		eng, err := simulator.NewEngine(c)
 		if err != nil {
-			return row, fmt.Errorf("eval: %s/%s: %w", name, placer.Name(), err)
+			return row, fmt.Errorf("eval: %s/%s: %w", name, pname, err)
 		}
 		br, err := eng.RunBatch(batch)
 		if err != nil {
-			return row, fmt.Errorf("eval: %s/%s: %w", name, placer.Name(), err)
+			return row, fmt.Errorf("eval: %s/%s: %w", name, pname, err)
 		}
 		row.LatencyNs = br.LatencyNs
 		row.ThroughputPerSec = br.ThroughputPerSec
@@ -262,38 +232,4 @@ func WinsTable(wins []PlacementWin) string {
 			w.Network, w.BestHeuristic, w.HeuristicPerSec, w.SearchPerSec, w.GainX)
 	}
 	return sb.String()
-}
-
-// CoLocate compiles several zoo models onto one shared fabric with
-// disjoint regions and returns the compilations plus the shared-fabric
-// scheduler. This is the serving path's entry point: the multi-model
-// router prices every model against the co-located pipeline.
-func CoLocate(cfg Config, names []string, d arch.Design, placer compiler.Placer) ([]*compiler.Compiled, *sim.EngineSet, error) {
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("eval: no models to co-locate")
-	}
-	if _, err := d.Spec(); err != nil {
-		return nil, nil, fmt.Errorf("eval: %w", err)
-	}
-	var models []*bnn.Model
-	for _, n := range names {
-		m, err := bnn.NewModel(n, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		models = append(models, m)
-	}
-	cs, err := compiler.CompileSet(models, cfg.Arch, d, compiler.SetOptions{Placer: placer})
-	if err != nil {
-		return nil, nil, err
-	}
-	simulator, err := sim.New(cfg.Arch, cfg.Costs)
-	if err != nil {
-		return nil, nil, err
-	}
-	es, err := simulator.NewEngineSet(cs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cs, es, nil
 }

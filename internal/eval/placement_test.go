@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"einsteinbarrier/internal/arch"
-	"einsteinbarrier/internal/compiler"
 )
 
 func TestComparePlacementsTableAndDeterminism(t *testing.T) {
@@ -82,12 +81,20 @@ func TestComparePlacementsRejectsBadInput(t *testing.T) {
 
 func TestCoLocateBuildsSharedFabric(t *testing.T) {
 	cfg := DefaultConfig()
-	cs, es, err := CoLocate(cfg, []string{"MLP-S", "CNN-S"}, arch.EinsteinBarrier, compiler.MeshPlacer{})
+	cs, es, searches, err := CoLocate(cfg, []string{"MLP-S", "CNN-S"}, arch.EinsteinBarrier, "mesh", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cs) != 2 || len(es.Engines()) != 2 {
 		t.Fatalf("%d compileds, %d engines", len(cs), len(es.Engines()))
+	}
+	if searches != nil {
+		t.Fatalf("heuristic co-location returned search records %+v", searches)
+	}
+	for _, c := range cs {
+		if c.Placement.Placer != "mesh" {
+			t.Fatalf("%s placed by %q, want mesh", c.ModelName, c.Placement.Placer)
+		}
 	}
 	if cs[0].Placement.Region.Overlaps(cs[1].Placement.Region) {
 		t.Fatal("co-located regions overlap")
@@ -99,7 +106,13 @@ func TestCoLocateBuildsSharedFabric(t *testing.T) {
 	if len(r.Models) != 2 || r.AggregatePerSec <= 0 {
 		t.Fatalf("bad set result %+v", r)
 	}
-	if _, _, err := CoLocate(cfg, nil, arch.EinsteinBarrier, nil); err == nil {
+	if _, _, _, err := CoLocate(cfg, nil, arch.EinsteinBarrier, "greedy", 16); err == nil {
 		t.Fatal("empty model list must error")
+	}
+	if _, _, _, err := CoLocate(cfg, []string{"MLP-S"}, arch.EinsteinBarrier, "warp", 16); err == nil {
+		t.Fatal("unknown placer must error")
+	}
+	if _, _, _, err := CoLocate(cfg, []string{"MLP-S"}, arch.EinsteinBarrier, "mesh", 0); err == nil {
+		t.Fatal("batch 0 must error")
 	}
 }

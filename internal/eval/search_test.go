@@ -61,8 +61,8 @@ func TestSearchPlacementGolden(t *testing.T) {
 		}
 	}
 	// A second sweep against the warm cache is all hits by determinism —
-	// the repeated-search pattern ComparePlacements and the benchmark
-	// rely on — which lifts the overall rate past the pinned floor.
+	// the repeated-search pattern the benchmark relies on — which lifts
+	// the overall rate past the pinned floor.
 	l0, h0 := pe.Stats()
 	for _, name := range bnn.ZooNames {
 		m, err := bnn.NewModel(name, 1)
@@ -161,8 +161,8 @@ func TestSearchCoLocate(t *testing.T) {
 	names := []string{"MLP-S", "CNN-S"}
 	const batch = 32
 
-	// Baseline: the shard-carved co-location SearchCoLocate starts from.
-	baseCS, baseES, err := CoLocate(cfg, names, arch.EinsteinBarrier, compiler.ShardPlacer{})
+	// Baseline: the shard-carved co-location the search starts from.
+	baseCS, baseES, _, err := CoLocate(cfg, names, arch.EinsteinBarrier, "shard", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSearchCoLocate(t *testing.T) {
 	}
 	baseline := baseSR.AggregatePerSec * baseSR.FairnessJain
 
-	cs, es, trace, err := SearchCoLocate(cfg, names, arch.EinsteinBarrier, batch)
+	cs, es, trace, err := CoLocate(cfg, names, arch.EinsteinBarrier, "search", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +194,9 @@ func TestSearchCoLocate(t *testing.T) {
 		if ms.Stats.BestFrom == "" || len(ms.Stats.WarmStarts) == 0 {
 			t.Fatalf("%s: empty search trace %+v", ms.Model, ms.Stats)
 		}
+		if cs[i].Placement.Placer != "search" {
+			t.Fatalf("%s placed by %q, want search", ms.Model, cs[i].Placement.Placer)
+		}
 		// Every searched model stays inside its carved region — that is
 		// what keeps the set tile-disjoint during the descent.
 		if cs[i].Placement.Region != baseCS[i].Placement.Region {
@@ -201,7 +204,7 @@ func TestSearchCoLocate(t *testing.T) {
 		}
 	}
 	// Determinism: the same config reproduces the same layouts.
-	cs2, _, _, err := SearchCoLocate(cfg, names, arch.EinsteinBarrier, batch)
+	cs2, _, _, err := CoLocate(cfg, names, arch.EinsteinBarrier, "search", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +217,19 @@ func TestSearchCoLocate(t *testing.T) {
 
 func TestSearchCoLocateRejectsBadInput(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, _, _, err := SearchCoLocate(cfg, nil, arch.EinsteinBarrier, 8); err == nil {
+	if _, _, _, err := CoLocate(cfg, nil, arch.EinsteinBarrier, "search", 8); err == nil {
 		t.Fatal("no models must error")
 	}
-	if _, _, _, err := SearchCoLocate(cfg, []string{"MLP-S"}, arch.EinsteinBarrier, 0); err == nil {
+	if _, _, _, err := CoLocate(cfg, []string{"MLP-S"}, arch.EinsteinBarrier, "search", 0); err == nil {
 		t.Fatal("batch 0 must error")
 	}
-	if _, _, _, err := SearchCoLocate(cfg, []string{"nope"}, arch.EinsteinBarrier, 8); err == nil {
+	if _, _, _, err := CoLocate(cfg, []string{"nope"}, arch.EinsteinBarrier, "search", 8); err == nil {
 		t.Fatal("unknown model must error")
 	}
-	if _, _, _, err := SearchCoLocate(cfg, []string{"MLP-S"}, arch.Design(99), 8); err == nil {
+	if _, _, _, err := CoLocate(cfg, []string{"MLP-S"}, arch.Design(99), "search", 8); err == nil {
 		t.Fatal("unknown design must error")
+	}
+	if _, _, _, err := CoLocate(cfg, []string{"MLP-S"}, arch.EinsteinBarrier, "Search", 8); err == nil {
+		t.Fatal("search must be named exactly, not matched loosely")
 	}
 }

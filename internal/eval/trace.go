@@ -1,96 +1,11 @@
 package eval
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 
-	"einsteinbarrier/internal/arch"
-	"einsteinbarrier/internal/bnn"
-	"einsteinbarrier/internal/infer"
-	"einsteinbarrier/internal/sim"
 	"einsteinbarrier/internal/trace"
 )
-
-// Trace evaluation surface: TraceBatch records one network×design batch
-// schedule through the pipeline engine's recorder and TraceZoo fans the
-// whole zoo out over workers — with the same determinism contract as
-// every other eval entry point: byte-identical exports at any worker
-// count (test-pinned across {1,2,4,0}).
-
-// TraceBatch compiles one zoo network for one design, streams a batch
-// through the pipeline engine with tracing armed, and returns the
-// recorder (ring sized so nothing drops) together with the batch
-// result it describes.
-func TraceBatch(cfg Config, network string, d arch.Design, batch int) (*trace.Recorder, *sim.BatchResult, error) {
-	if batch < 1 {
-		return nil, nil, fmt.Errorf("eval: batch size %d must be ≥ 1", batch)
-	}
-	m, err := bnn.NewModel(network, cfg.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := Pipeline(cfg, m, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := trace.New(batch*eng.TraceEventsPerSample() + 16)
-	eng.EnableTrace(r)
-	br, err := eng.RunBatch(batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, br, nil
-}
-
-// TraceExport is one traced network×design schedule, serialized in both
-// export formats.
-type TraceExport struct {
-	Network string
-	Design  arch.Design
-	Chrome  []byte // Chrome-trace / Perfetto JSON
-	CSV     []byte // flat per-event CSV
-}
-
-// TraceZoo records every zoo network on every given design (nil = all
-// registered designs) at one batch size, fanning out over cfg.Workers.
-// Each job owns a private recorder and serializes inside the worker, so
-// the byte output is independent of scheduling — bit-identical at any
-// worker count.
-func TraceZoo(cfg Config, designs []arch.Design, batch int) ([]TraceExport, error) {
-	if len(designs) == 0 {
-		designs = arch.Designs()
-	}
-	for _, d := range designs {
-		if _, err := d.Spec(); err != nil {
-			return nil, fmt.Errorf("eval: %w", err)
-		}
-	}
-	models, err := bnn.Zoo(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	nd := len(designs)
-	return infer.Map(cfg.Workers, len(models)*nd, func(_, j int) (TraceExport, error) {
-		m, d := models[j/nd], designs[j%nd]
-		out := TraceExport{Network: m.Name(), Design: d}
-		r, _, err := TraceBatch(cfg, m.Name(), d, batch)
-		if err != nil {
-			return out, fmt.Errorf("eval: %s/%v: %w", m.Name(), d, err)
-		}
-		var chrome, csv bytes.Buffer
-		if err := trace.WriteChrome(&chrome, r); err != nil {
-			return out, err
-		}
-		if err := trace.WriteCSV(&csv, r); err != nil {
-			return out, err
-		}
-		out.Chrome = chrome.Bytes()
-		out.CSV = csv.Bytes()
-		return out, nil
-	})
-}
 
 // LifetimeTraceRecorder converts a lifetime run's canary series into
 // the shared trace representation: one process per run (time axis =
@@ -142,11 +57,4 @@ func lifetimeProcName(r LifetimeReport) string {
 		return fmt.Sprintf("lifetime %s on %s (t = served samples)", r.Model, r.Design)
 	}
 	return fmt.Sprintf("lifetime %s (t = served samples)", r.Model)
-}
-
-// WriteLifetimeTrace emits the canary series as Chrome-trace JSON —
-// load it next to an engine trace to line recalibration windows up
-// with the schedule they disturbed.
-func WriteLifetimeTrace(w io.Writer, r LifetimeReport) error {
-	return trace.WriteChrome(w, LifetimeTraceRecorder(r))
 }

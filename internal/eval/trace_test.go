@@ -5,65 +5,9 @@ import (
 	"encoding/json"
 	"testing"
 
-	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/serve"
 	"einsteinbarrier/internal/trace"
 )
-
-// TestTraceZooWorkerInvariant is the eval-layer determinism pin: the
-// serialized exports of every zoo network on every design are
-// byte-identical at any worker count, including the library default
-// (0) — same contract as eval.Run and ThroughputAt.
-func TestTraceZooWorkerInvariant(t *testing.T) {
-	cfg := DefaultConfig()
-	designs := []arch.Design{arch.TacitEPCM, arch.EinsteinBarrier}
-	const batch = 8
-	base, err := TraceZoo(cfg, designs, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) == 0 {
-		t.Fatal("no exports")
-	}
-	for _, ex := range base {
-		if len(ex.Chrome) == 0 || len(ex.CSV) == 0 {
-			t.Fatalf("%s/%v: empty export", ex.Network, ex.Design)
-		}
-	}
-	for _, workers := range []int{2, 4, 0} {
-		cfg2 := cfg
-		cfg2.Workers = workers
-		got, err := TraceZoo(cfg2, designs, batch)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d exports, want %d", workers, len(got), len(base))
-		}
-		for i := range base {
-			if got[i].Network != base[i].Network || got[i].Design != base[i].Design {
-				t.Fatalf("workers=%d: order diverged at %d", workers, i)
-			}
-			if !bytes.Equal(got[i].Chrome, base[i].Chrome) {
-				t.Fatalf("workers=%d: %s/%v chrome export differs", workers, got[i].Network, got[i].Design)
-			}
-			if !bytes.Equal(got[i].CSV, base[i].CSV) {
-				t.Fatalf("workers=%d: %s/%v CSV export differs", workers, got[i].Network, got[i].Design)
-			}
-		}
-	}
-}
-
-// TestTraceBatchValidates rejects nonsense inputs.
-func TestTraceBatchValidates(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, _, err := TraceBatch(cfg, "MLP-S", arch.EinsteinBarrier, 0); err == nil {
-		t.Fatal("batch 0 should fail")
-	}
-	if _, _, err := TraceBatch(cfg, "no-such-net", arch.EinsteinBarrier, 1); err == nil {
-		t.Fatal("unknown network should fail")
-	}
-}
 
 // TestLifetimeTraceRecorder pins the canary-series mapping into the
 // shared trace representation.
@@ -103,7 +47,7 @@ func TestLifetimeTraceRecorder(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteLifetimeTrace(&buf, rep); err != nil {
+	if err := trace.WriteChrome(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

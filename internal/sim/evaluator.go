@@ -233,7 +233,7 @@ type setFlight struct {
 // FairnessJain), so a layout that speeds its own model up by starving a
 // neighbor's NoC paths does not win. The other models' compilations are
 // fixed for the evaluator's lifetime; co-location search runs one
-// evaluator per model (coordinate descent, eval.SearchCoLocate).
+// evaluator per model (coordinate descent, eval.CoLocate with "search").
 type SetEvaluator struct {
 	s     *Simulator
 	set   []*compiler.Compiled
