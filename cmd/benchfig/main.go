@@ -11,12 +11,12 @@
 //	benchfig -fig steps         # TacitMap vs CustBinaryMap step sweep (E5)
 //
 // Designs are resolved by name through the arch design registry
-// (arch.ParseDesign); -csv / -json switch any report to machine-readable
-// export.
+// (arch.ParseDesign). -csv / -json (not both) switch -fig 7, 8, batch
+// and placement to machine-readable export; the wdm, steps, ablate and
+// area figures are text-only and reject them.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +29,7 @@ import (
 	"einsteinbarrier/internal/core"
 	"einsteinbarrier/internal/energy"
 	"einsteinbarrier/internal/eval"
+	"einsteinbarrier/internal/report"
 )
 
 func main() {
@@ -59,6 +60,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	mode, err := report.ParseMode(*csvOut, *jsonOut)
+	if err != nil {
+		return err
+	}
 
 	cfg := eval.DefaultConfig()
 	cfg.Seed = *seed
@@ -84,22 +89,21 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *csvOut {
+		switch mode {
+		case report.ModeCSV:
 			return rep.WriteCSV(out)
-		}
-		if *jsonOut {
+		case report.ModeJSON:
 			return rep.WriteJSON(out)
 		}
-		if *fig == "7" {
-			fmt.Fprint(out, rep.Fig7Table())
-		} else {
-			fmt.Fprint(out, rep.Fig8Table())
+		t := rep.Fig7()
+		if *fig == "8" {
+			t = rep.Fig8()
 		}
-		if *summary {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, rep.SummaryTable())
+		if err := t.Text(out); err != nil || !*summary {
+			return err
 		}
-		return nil
+		fmt.Fprintln(out)
+		return rep.Observations().Text(out)
 	case "batch":
 		batches, err := parseBatches(*batch)
 		if err != nil {
@@ -109,14 +113,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *csvOut {
-			return eval.WriteThroughputCSV(out, rows)
+		t, csvTable := eval.ThroughputTables(rows)
+		if mode == report.ModeCSV {
+			t = csvTable
 		}
-		if *jsonOut {
-			return eval.WriteThroughputJSON(out, rows)
-		}
-		fmt.Fprint(out, eval.ThroughputTable(rows))
-		return nil
+		return report.Write(out, mode, t, rows)
 	case "placement":
 		batches, err := parseBatches(*batch)
 		if err != nil {
@@ -137,31 +138,25 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *csvOut {
-			return eval.WritePlacementCSV(out, rows)
+		if err := report.Write(out, mode, eval.Placements(rows), rows); err != nil || mode != report.ModeText {
+			return err
 		}
-		if *jsonOut {
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprint(out, eval.PlacementTable(rows))
 		if wins := eval.PlacementWins(rows); len(wins) > 0 {
 			fmt.Fprintln(out)
-			fmt.Fprint(out, eval.WinsTable(wins))
+			return eval.SearchWins(wins).Text(out)
 		}
 		return nil
-	case "wdm":
-		return wdmSweep(out, cfg)
-	case "steps":
-		return stepSweep(out)
-	case "ablate":
-		return ablate(out, cfg)
-	case "area":
-		return areaTable(out, cfg)
-	default:
+	}
+	textFig := map[string]func(io.Writer, eval.Config) error{
+		"wdm": wdmFig, "steps": stepsFig, "ablate": ablateFig, "area": areaFig,
+	}[*fig]
+	if textFig == nil {
 		return fmt.Errorf("unknown -fig %q", *fig)
 	}
+	if mode != report.ModeText {
+		return fmt.Errorf("-fig %s is text-only; -csv and -json apply to -fig 7, 8, batch and placement", *fig)
+	}
+	return textFig(out, cfg)
 }
 
 // splitList splits a comma-separated list into trimmed names; empty
@@ -225,64 +220,53 @@ func parseBatches(s string) ([]int, error) {
 	return out, nil
 }
 
-// areaTable prints the per-design silicon area of one crossbar unit —
+// areaFig prints the per-design silicon area of one crossbar unit —
 // the paper's §V-A synthesis methodology made explicit.
-func areaTable(out io.Writer, cfg eval.Config) error {
+func areaFig(out io.Writer, cfg eval.Config) error {
 	p := energy.DefaultAreaParams()
 	a := cfg.Arch
-	rows := []struct {
-		name string
-		b    energy.AreaBreakdown
+	t := &report.Table{Title: "Per-array silicon area (mm2)", Cols: []report.Col{{Head: "design"},
+		{Head: "cells", Fmt: "%.4f"}, {Head: "converters", Fmt: "%.4f"}, {Head: "photonic", Fmt: "%.4f"},
+		{Head: "digital", Fmt: "%.4f"}, {Head: "total", Fmt: "%.4f"}}}
+	add := func(name string, b energy.AreaBreakdown) {
+		t.Add(name, b.Cells/1e6, b.Converters/1e6, b.Photonic/1e6, b.Digital/1e6, b.Total()/1e6)
+	}
+	add("Baseline-ePCM (2T2R+SA)", p.BaselineArrayArea(a.CrossbarRows, a.CrossbarCols/2))
+	add("TacitMap-ePCM (1T1R+ADC)", p.TacitArrayArea(a.CrossbarRows, a.CrossbarCols, a.ColumnsPerADC))
+	add("EinsteinBarrier (oPCM)", p.EinsteinBarrierArrayArea(a.CrossbarRows, a.CrossbarCols, a.ColumnsPerADC, a.WDMCapacity, a.VCoresPerECore))
+	return t.Text(out)
+}
+
+// ablateFig prints the three design-choice sweeps DESIGN.md calls out.
+func ablateFig(out io.Writer, cfg eval.Config) error {
+	for i, sweep := range []struct {
+		title string
+		run   func(eval.Config, []int) ([]eval.AblationPoint, error)
+		at    []int
 	}{
-		{"Baseline-ePCM (2T2R+SA)", p.BaselineArrayArea(a.CrossbarRows, a.CrossbarCols/2)},
-		{"TacitMap-ePCM (1T1R+ADC)", p.TacitArrayArea(a.CrossbarRows, a.CrossbarCols, a.ColumnsPerADC)},
-		{"EinsteinBarrier (oPCM)", p.EinsteinBarrierArrayArea(a.CrossbarRows, a.CrossbarCols, a.ColumnsPerADC, a.WDMCapacity, a.VCoresPerECore)},
-	}
-	fmt.Fprintln(out, "Per-array silicon area (mm2)")
-	fmt.Fprintf(out, "%-26s %10s %12s %10s %10s %10s\n", "design", "cells", "converters", "photonic", "digital", "total")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%-26s %10.4f %12.4f %10.4f %10.4f %10.4f\n", r.name,
-			r.b.Cells/1e6, r.b.Converters/1e6, r.b.Photonic/1e6, r.b.Digital/1e6, r.b.Total()/1e6)
+		{"WDM capacity sweep", eval.AblateWDMCapacity, []int{1, 2, 4, 8, 16}},
+		{"ADC sharing sweep", eval.AblateColumnsPerADC, []int{1, 4, 8, 16, 32}},
+		{"Crossbar size sweep", eval.AblateCrossbarSize, []int{128, 256, 512}},
+	} {
+		points, err := sweep.run(cfg, sweep.at)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		if err := eval.Ablation(sweep.title, points).Text(out); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// ablate prints the three design-choice sweeps DESIGN.md calls out.
-func ablate(out io.Writer, cfg eval.Config) error {
-	wdm, err := eval.AblateWDMCapacity(cfg, []int{1, 2, 4, 8, 16})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, eval.AblationTable("WDM capacity sweep", wdm))
-	fmt.Fprintln(out)
-	adc, err := eval.AblateColumnsPerADC(cfg, []int{1, 4, 8, 16, 32})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, eval.AblationTable("ADC sharing sweep", adc))
-	fmt.Fprintln(out)
-	sizes, err := eval.AblateCrossbarSize(cfg, []int{128, 256, 512})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, eval.AblationTable("Crossbar size sweep", sizes))
-	return nil
-}
-
-// wdmSweep reproduces E6: EinsteinBarrier speedup over TacitMap-ePCM as
-// the WDM capacity grows — bounded by K and by the network's available
-// parallelism (paper §VI-A observation 3).
-func wdmSweep(out io.Writer, cfg eval.Config) error {
-	fmt.Fprintln(out, "E6 — EinsteinBarrier/TacitMap-ePCM latency ratio vs WDM capacity K")
-	fmt.Fprintf(out, "%-6s", "K")
-	base, err := eval.Run(cfg)
-	if err != nil {
-		return err
-	}
-	for _, n := range base.Networks {
-		fmt.Fprintf(out, "%10s", n.Network)
-	}
-	fmt.Fprintln(out)
+// wdmFig reproduces E6: EinsteinBarrier speedup over TacitMap-ePCM
+// as the WDM capacity grows — bounded by K and by the network's
+// available parallelism (paper §VI-A observation 3).
+func wdmFig(out io.Writer, cfg eval.Config) error {
+	t := &report.Table{Title: "E6 — EinsteinBarrier/TacitMap-ePCM latency ratio vs WDM capacity K", Cols: []report.Col{{Head: "K"}}}
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		c := cfg
 		c.Arch.WDMCapacity = k
@@ -290,20 +274,24 @@ func wdmSweep(out io.Writer, cfg eval.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%-6d", k)
+		cells := []any{k}
 		for _, n := range rep.Networks {
-			fmt.Fprintf(out, "%9.1fx", n.LatTacit/n.LatEB)
+			if len(t.Rows) == 0 {
+				t.Cols = append(t.Cols, report.Col{Head: n.Network, Fmt: "%.1fx"})
+			}
+			cells = append(cells, n.LatTacit/n.LatEB)
 		}
-		fmt.Fprintln(out)
+		t.Add(cells...)
 	}
-	return nil
+	return t.Text(out)
 }
 
-// stepSweep reproduces E5: the §III theoretical claim that TacitMap
-// needs n× fewer crossbar steps than CustBinaryMap on the same device.
-func stepSweep(out io.Writer) error {
-	fmt.Fprintln(out, "E5 — serial crossbar steps per input vector (single 256x256 array)")
-	fmt.Fprintf(out, "%-24s %14s %14s %10s\n", "layer (n x m)", "CustBinaryMap", "TacitMap", "ratio")
+// stepsFig reproduces E5: the §III theoretical claim that TacitMap
+// needs n× fewer crossbar steps than CustBinaryMap on the same device
+// (the default 256x256 array, whatever the -k or -cols-per-adc flags).
+func stepsFig(out io.Writer, _ eval.Config) error {
+	t := &report.Table{Title: "E5 — serial crossbar steps per input vector (single 256x256 array)",
+		Cols: []report.Col{{Head: "layer (n x m)"}, {Head: "CustBinaryMap"}, {Head: "TacitMap"}, {Head: "ratio", Fmt: "%.0fx"}}}
 	cfg := arch.DefaultConfig()
 	for _, dims := range [][2]int{{16, 128}, {64, 128}, {128, 128}, {256, 128}, {256, 256}, {512, 512}} {
 		n, m := dims[0], dims[1]
@@ -315,10 +303,8 @@ func stepSweep(out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%-24s %14d %14d %9.0fx\n",
-			fmt.Sprintf("%d x %d", n, m),
-			cp.SingleArrayStepsPerInput(), tp.SingleArrayStepsPerInput(),
-			float64(cp.SingleArrayStepsPerInput())/float64(tp.SingleArrayStepsPerInput()))
+		cs, ts := cp.SingleArrayStepsPerInput(), tp.SingleArrayStepsPerInput()
+		t.Add(fmt.Sprintf("%d x %d", n, m), cs, ts, float64(cs)/float64(ts))
 	}
-	return nil
+	return t.Text(out)
 }

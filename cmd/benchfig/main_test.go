@@ -99,6 +99,18 @@ func TestUnknownDesignAndFigError(t *testing.T) {
 	if err := run([]string{"-fig", "batch", "-batch", "0,-3"}, &out); err == nil {
 		t.Fatal("bad batch list must error")
 	}
+	if err := run([]string{"-fig", "7", "-csv", "-json"}, &out); err == nil {
+		t.Fatal("-csv with -json must error")
+	}
+	for _, args := range [][]string{
+		{"-fig", "wdm", "-csv"}, {"-fig", "steps", "-json"}, {"-fig", "ablate", "-csv"}, {"-fig", "area", "-json"},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Fatalf("%v must error: the figure is text-only", args)
+		} else if !strings.Contains(err.Error(), args[1]) {
+			t.Fatalf("error should name -fig %s: %v", args[1], err)
+		}
+	}
 }
 
 func TestFigPlacement(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"einsteinbarrier/internal/core"
 	"einsteinbarrier/internal/dataset"
 	"einsteinbarrier/internal/infer"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/tensor"
 )
 
@@ -60,12 +61,11 @@ func listZoo(out io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%-8s %14s %14s %14s %10s\n", "model", "binary ops", "fp MACs", "weight bits", "layers")
+	t := &report.Table{Cols: []report.Col{{Head: "model"}, {Head: "binary ops"}, {Head: "fp MACs"}, {Head: "weight bits"}, {Head: "layers"}}}
 	for _, m := range models {
-		fmt.Fprintf(out, "%-8s %14d %14d %14d %10d\n",
-			m.Name(), m.TotalBinaryOps(), m.TotalFPMACs(), m.WeightBits(), len(m.Layers))
+		t.Add(m.Name(), m.TotalBinaryOps(), m.TotalFPMACs(), m.WeightBits(), len(m.Layers))
 	}
-	return nil
+	return t.Text(out)
 }
 
 func inspect(out io.Writer, name, mapping string, seed int64) error {
@@ -74,23 +74,21 @@ func inspect(out io.Writer, name, mapping string, seed int64) error {
 		return err
 	}
 	cfg := arch.DefaultConfig()
-	fmt.Fprintf(out, "%s (input %v, %d classes)\n", m.Name(), m.InputShape, m.Classes)
-	fmt.Fprintf(out, "%-14s %-7s %8s %8s %10s %14s\n", "layer", "kind", "n", "m", "positions", "ops")
+	layers := &report.Table{Title: fmt.Sprintf("%s (input %v, %d classes)", m.Name(), m.InputShape, m.Classes),
+		Cols: []report.Col{{Head: "layer"}, {Head: "kind"}, {Head: "n"}, {Head: "m"}, {Head: "positions"}, {Head: "ops"}}}
 	for _, c := range m.Costs() {
 		switch c.Kind {
 		case "binary", "fp":
-			fmt.Fprintf(out, "%-14s %-7s %8d %8d %10d %14d\n",
-				c.Name, c.Kind, c.Work.N, c.Work.M, c.Work.Positions,
-				c.Work.Ops()+c.MACs)
+			layers.Add(c.Name, c.Kind, c.Work.N, c.Work.M, c.Work.Positions, c.Work.Ops()+c.MACs)
 		default:
-			fmt.Fprintf(out, "%-14s %-7s\n", c.Name, c.Kind)
+			layers.Add(c.Name, c.Kind)
 		}
 	}
-	if mapping == "" {
-		return nil
+	if err := layers.Text(out); err != nil || mapping == "" {
+		return err
 	}
-	fmt.Fprintf(out, "\n%s tiling onto %dx%d arrays:\n", mapping, cfg.CrossbarRows, cfg.CrossbarCols)
-	fmt.Fprintf(out, "%-14s %10s %10s %8s %16s\n", "layer", "row tiles", "col tiles", "arrays", "steps/input")
+	tiles := &report.Table{Title: fmt.Sprintf("\n%s tiling onto %dx%d arrays:", mapping, cfg.CrossbarRows, cfg.CrossbarCols),
+		Cols: []report.Col{{Head: "layer"}, {Head: "row tiles"}, {Head: "col tiles"}, {Head: "arrays"}, {Head: "steps/input"}}}
 	for _, c := range m.Costs() {
 		if c.Kind != "binary" {
 			continue
@@ -101,20 +99,18 @@ func inspect(out io.Writer, name, mapping string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "%-14s %10d %10d %8d %16d\n",
-				c.Name, p.RowTiles, p.ColTiles, p.Tiles(), p.SerialStepsPerInput())
+			tiles.Add(c.Name, p.RowTiles, p.ColTiles, p.Tiles(), p.SerialStepsPerInput())
 		case "cust":
 			p, err := core.PlanCust(c.Work.N, c.Work.M, cfg.CrossbarRows, cfg.CrossbarCols/2)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "%-14s %10d %10d %8d %16d\n",
-				c.Name, p.RowTiles, p.ColTiles, p.Tiles(), p.SerialStepsPerInput())
+			tiles.Add(c.Name, p.RowTiles, p.ColTiles, p.Tiles(), p.SerialStepsPerInput())
 		default:
 			return fmt.Errorf("unknown mapping %q (want tacit|cust)", mapping)
 		}
 	}
-	return nil
+	return tiles.Text(out)
 }
 
 func trainDemo(out io.Writer, seed int64, epochs int) error {

@@ -48,6 +48,7 @@ import (
 	"einsteinbarrier/internal/compiler"
 	"einsteinbarrier/internal/device"
 	"einsteinbarrier/internal/eval"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/robust"
 	"einsteinbarrier/internal/serve"
 	"einsteinbarrier/internal/sim"
@@ -87,8 +88,7 @@ type options struct {
 	maxBatches string
 	requests   int
 	clients    int
-	csvOut     bool
-	jsonOut    bool
+	mode       report.Mode
 
 	trace    bool
 	traceOut string
@@ -136,8 +136,8 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&o.maxBatches, "sweep-maxbatch", "", "comma-separated dynamic-batch caps: closed-loop throughput sweep over MaxBatch (loadgen mode; overrides -rate)")
 	fs.IntVar(&o.requests, "requests", 1000, "loadgen arrivals per rate point")
 	fs.IntVar(&o.clients, "clients", 4, "closed-loop client count (rate 0)")
-	fs.BoolVar(&o.csvOut, "csv", false, "emit the loadgen curve as CSV")
-	fs.BoolVar(&o.jsonOut, "json", false, "emit the loadgen curve as JSON")
+	csvOut := fs.Bool("csv", false, "emit the loadgen curve as CSV")
+	jsonOut := fs.Bool("json", false, "emit the loadgen curve as JSON")
 	fs.BoolVar(&o.trace, "trace", false, "record per-request serving spans into a sliding ring (GET /trace in serve mode)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the recorded spans as Chrome-trace JSON to this file after a loadgen/lifetime run (implies -trace)")
 	fs.BoolVar(&o.lifetime, "lifetime", false, "run the device-lifetime scenario: ageing hardware replicas, canary health, closed-loop recalibration")
@@ -154,6 +154,10 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&o.diurnalPeak, "diurnal-peak", 0, "diurnal crest arrival rate (req/s; default 4x base)")
 	fs.DurationVar(&o.diurnalPeriod, "diurnal-period", time.Second, "one day/night cycle of the diurnal load")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var err error
+	if o.mode, err = report.ParseMode(*csvOut, *jsonOut); err != nil {
 		return err
 	}
 
@@ -183,7 +187,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	newServer := func() (*serve.Server, error) { return buildServer(o, model, design) }
+	newServer := func() (*serve.Server, error) { return buildServer(o, model, design, nil) }
 
 	if o.loadgen {
 		if o.maxBatches != "" {
@@ -247,7 +251,7 @@ func buildRouter(o options, design arch.Design) (*serve.Router, serve.FabricSnap
 		if err != nil {
 			return nil, snap, err
 		}
-		s, err := buildServerWithPricer(o, model, design, es.Engines()[i])
+		s, err := buildServer(o, model, design, es.Engines()[i])
 		if err != nil {
 			return nil, snap, fmt.Errorf("%s: %w", cs[i].ModelName, err)
 		}
@@ -259,30 +263,6 @@ func buildRouter(o options, design arch.Design) (*serve.Router, serve.FabricSnap
 	}
 	router.SetFabric(snap)
 	return router, snap, nil
-}
-
-// buildServerWithPricer assembles one model server priced by an
-// existing pipeline engine (the co-located one).
-func buildServerWithPricer(o options, model *bnn.Model, design arch.Design, eng *sim.Engine) (*serve.Server, error) {
-	backend, err := buildBackend(o, model, design)
-	if err != nil {
-		return nil, err
-	}
-	cfg := serve.Config{
-		Backend:  backend,
-		MaxBatch: o.maxBatch,
-		MaxWait:  o.maxWait,
-		QueueCap: o.queueCap,
-		Workers:  o.workers,
-		Trace:    o.rec,
-	}
-	if !o.noPrice {
-		cfg.Pricer, err = serve.NewPricer(eng)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return serve.New(cfg)
 }
 
 // buildBackend picks the execution backend for one model.
@@ -301,8 +281,9 @@ func buildBackend(o options, model *bnn.Model, design arch.Design) (serve.Backen
 }
 
 // buildServer assembles one server from the options (fresh metrics and
-// queue — the loadgen sweep calls it once per rate point).
-func buildServer(o options, model *bnn.Model, design arch.Design) (*serve.Server, error) {
+// queue — the loadgen sweep calls it once per rate point). Batches are
+// priced on eng, or on a fresh eval.Pipeline when eng is nil.
+func buildServer(o options, model *bnn.Model, design arch.Design, eng *sim.Engine) (*serve.Server, error) {
 	backend, err := buildBackend(o, model, design)
 	if err != nil {
 		return nil, err
@@ -316,12 +297,12 @@ func buildServer(o options, model *bnn.Model, design arch.Design) (*serve.Server
 		Trace:    o.rec,
 	}
 	if !o.noPrice {
-		eng, err := eval.Pipeline(eval.DefaultConfig(), model, design)
-		if err != nil {
-			return nil, err
+		if eng == nil {
+			if eng, err = eval.Pipeline(eval.DefaultConfig(), model, design); err != nil {
+				return nil, err
+			}
 		}
-		cfg.Pricer, err = serve.NewPricer(eng)
-		if err != nil {
+		if cfg.Pricer, err = serve.NewPricer(eng); err != nil {
 			return nil, err
 		}
 	}
@@ -385,35 +366,13 @@ func runLifetimeMode(o options, design arch.Design, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := writeServeTrace(o); err != nil {
+	if err := trace.WriteFiles(o.rec, o.traceOut, ""); err != nil {
 		return err
 	}
-	switch {
-	case o.csvOut:
-		return eval.WriteLifetimeCSV(out, rep)
-	case o.jsonOut:
-		return eval.WriteLifetimeJSON(out, rep)
-	default:
-		fmt.Fprint(out, eval.LifetimeTable(rep))
-		return nil
+	if o.mode == report.ModeCSV {
+		return trace.WriteCSV(out, eval.LifetimeTraceRecorder(rep))
 	}
-}
-
-// writeServeTrace dumps the recorded span ring to -trace-out (no-op
-// when unset).
-func writeServeTrace(o options) error {
-	if o.traceOut == "" || o.rec == nil {
-		return nil
-	}
-	f, err := os.Create(o.traceOut)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, o.rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return report.Write(out, o.mode, rep.Table(), rep)
 }
 
 // runLoadgen sweeps the requested arrival rates and renders the curve.
@@ -451,18 +410,10 @@ func runLoadgen(o options, model *bnn.Model, newServer func() (*serve.Server, er
 			return err
 		}
 	}
-	if err := writeServeTrace(o); err != nil {
+	if err := trace.WriteFiles(o.rec, o.traceOut, ""); err != nil {
 		return err
 	}
-	switch {
-	case o.csvOut:
-		return serve.WriteLoadCSV(out, points)
-	case o.jsonOut:
-		return serve.WriteLoadJSON(out, points)
-	default:
-		fmt.Fprint(out, serve.LoadTable(points))
-		return nil
-	}
+	return report.Write(out, o.mode, serve.LoadCurve(points), points)
 }
 
 // runMaxBatchSweep drives the closed-loop generator once per
@@ -491,23 +442,15 @@ func runMaxBatchSweep(o options, model *bnn.Model, design arch.Design, out io.Wr
 	points, err := serve.SweepMaxBatch(func(mb int) (*serve.Server, error) {
 		oo := o
 		oo.maxBatch = mb
-		return buildServer(oo, model, design)
+		return buildServer(oo, model, design, nil)
 	}, caps, base)
 	if err != nil {
 		return err
 	}
-	if err := writeServeTrace(o); err != nil {
+	if err := trace.WriteFiles(o.rec, o.traceOut, ""); err != nil {
 		return err
 	}
-	switch {
-	case o.csvOut:
-		return serve.WriteBatchCSV(out, points)
-	case o.jsonOut:
-		return serve.WriteBatchJSON(out, points)
-	default:
-		fmt.Fprint(out, serve.BatchTable(points))
-		return nil
-	}
+	return report.Write(out, o.mode, serve.BatchCurve(points), points)
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -74,12 +74,15 @@ func TestLoadgenClosedLoopJSON(t *testing.T) {
 func TestFlagErrors(t *testing.T) {
 	var out bytes.Buffer
 	for name, args := range map[string][]string{
-		"unknown network": {"-network", "MLP-XXL"},
-		"unknown design":  {"-design", "warp-drive"},
-		"unknown backend": {"-backend", "quantum", "-loadgen"},
-		"bad rate":        {"-loadgen", "-rate", "fast"},
-		"mixed rate 0":    {"-loadgen", "-rate", "0,1000"},
-		"unknown flag":    {"-frobnicate"},
+		"unknown network":          {"-network", "MLP-XXL"},
+		"unknown design":           {"-design", "warp-drive"},
+		"unknown backend":          {"-backend", "quantum", "-loadgen"},
+		"bad rate":                 {"-loadgen", "-rate", "fast"},
+		"mixed rate 0":             {"-loadgen", "-rate", "0,1000"},
+		"unknown flag":             {"-frobnicate"},
+		"csv with json (loadgen)":  {"-loadgen", "-rate", "4000", "-requests", "10", "-csv", "-json"},
+		"csv with json (maxbatch)": {"-loadgen", "-sweep-maxbatch", "1", "-requests", "10", "-csv", "-json"},
+		"csv with json (lifetime)": {"-lifetime", "-requests", "10", "-csv", "-json"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run(%v) succeeded, want error", name, args)
@@ -375,7 +378,7 @@ func TestServeModeTraceWired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := buildServer(o, model, design)
+	s, err := buildServer(o, model, design, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

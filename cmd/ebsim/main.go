@@ -32,6 +32,7 @@ import (
 	"einsteinbarrier/internal/eval"
 	"einsteinbarrier/internal/gpu"
 	"einsteinbarrier/internal/isa"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/sim"
 	"einsteinbarrier/internal/trace"
 )
@@ -92,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		if err := runCoLocation(out, strings.Split(*models, ","), *design, *placerName, evalCfg, *batch, *traceOut, *traceCSV); err != nil {
 			return err
 		}
-		return writeTraceFiles(candRec, *traceCand, "")
+		return trace.WriteFiles(candRec, *traceCand, "")
 	}
 
 	m, err := bnn.NewModel(*model, *seed)
@@ -221,10 +222,10 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  silicon area:         %.3f mm2/array, %.1f mm2 for the %d arrays used\n",
 		perArray.Total()/1e6, perArray.Total()*float64(c.VCoresUsed)/1e6, c.VCoresUsed)
-	if err := writeTraceFiles(rec, *traceOut, *traceCSV); err != nil {
+	if err := trace.WriteFiles(rec, *traceOut, *traceCSV); err != nil {
 		return err
 	}
-	return writeTraceFiles(candRec, *traceCand, "")
+	return trace.WriteFiles(candRec, *traceCand, "")
 }
 
 // enableSetTrace attaches a full-batch recorder to a co-located engine
@@ -236,32 +237,6 @@ func enableSetTrace(es *sim.EngineSet, batch int, traceJSON, traceCSV string) *t
 	rec := trace.New(batch*es.TraceEventsPerSample() + 64)
 	es.EnableTrace(rec)
 	return rec
-}
-
-// writeTraceFiles dumps a recorder as Chrome-trace JSON and/or flat
-// CSV. A nil recorder (tracing off) writes nothing.
-func writeTraceFiles(r *trace.Recorder, jsonPath, csvPath string) error {
-	if r == nil {
-		return nil
-	}
-	write := func(path string, enc func(io.Writer, *trace.Recorder) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := enc(f, r); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(jsonPath, trace.WriteChrome); err != nil {
-		return err
-	}
-	return write(csvPath, trace.WriteCSV)
 }
 
 // mlcSuffix annotates multi-level-cell designs with their level count
@@ -313,24 +288,25 @@ func runCoLocation(out io.Writer, names []string, designName, placer string, cfg
 	if err != nil {
 		return err
 	}
-	if err := writeTraceFiles(rec, traceJSON, traceCSV); err != nil {
+	if err := trace.WriteFiles(rec, traceJSON, traceCSV); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "co-location of %d models on %v (placer %s, batch %d)\n", len(cs), d, cs[0].Placement.Placer, batch)
-	fmt.Fprintf(out, "  %-8s %-18s %6s %12s %12s %10s %14s\n",
-		"model", "region", "tiles", "iso inf/s", "co inf/s", "slowdown", "link wait us")
+	t := &report.Table{
+		Title: fmt.Sprintf("co-location of %d models on %v (placer %s, batch %d)", len(cs), d, cs[0].Placement.Placer, batch),
+		Cols: []report.Col{{Head: "model"}, {Head: "region"}, {Head: "tiles"}, {Head: "iso inf/s", Fmt: "%.0f"},
+			{Head: "co inf/s", Fmt: "%.0f"}, {Head: "slowdown", Fmt: "%.4fx"}, {Head: "link wait us", Fmt: "%.2f"}},
+		Footer: []string{fmt.Sprintf("fabric: %.0f inf/s aggregate, fairness %.4f (Jain), interference wait %.2f us, makespan %.2f us",
+			r.AggregatePerSec, r.FairnessJain, r.InterferenceWaitNs/1e3, r.MakespanNs/1e3)},
+	}
 	for i, mr := range r.Models {
-		fmt.Fprintf(out, "  %-8s %-18s %6d %12.0f %12.0f %9.4fx %14.2f\n",
-			mr.ModelName, mr.Region.String(), cs[i].Placement.TotalTiles(ecfg),
+		t.Add(mr.ModelName, mr.Region.String(), cs[i].Placement.TotalTiles(ecfg),
 			mr.IsolatedPerSec, mr.ThroughputPerSec, mr.SlowdownX, mr.LinkWaitNs/1e3)
 	}
-	fmt.Fprintf(out, "  fabric: %.0f inf/s aggregate, fairness %.4f (Jain), interference wait %.2f us, makespan %.2f us\n",
-		r.AggregatePerSec, r.FairnessJain, r.InterferenceWaitNs/1e3, r.MakespanNs/1e3)
 	for _, ms := range msearch {
 		st := ms.Stats
-		fmt.Fprintf(out, "  search %-8s %d evals, %d accepted, best from %s, set objective %.0f (cache hit %.1f%%, engine reuse %.1f%%)\n",
+		t.Footer = append(t.Footer, fmt.Sprintf("search %-8s %d evals, %d accepted, best from %s, set objective %.0f (cache hit %.1f%%, engine reuse %.1f%%)",
 			ms.Model, st.Steps, st.Accepted, st.BestFrom, st.BestScore,
-			100*ms.Eval.HitRate(), 100*ms.Eval.PoolReuseRate())
+			100*ms.Eval.HitRate(), 100*ms.Eval.PoolReuseRate()))
 	}
-	return nil
+	return t.Text(out)
 }

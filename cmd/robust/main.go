@@ -17,6 +17,7 @@ import (
 	"einsteinbarrier/internal/bnn"
 	"einsteinbarrier/internal/dataset"
 	"einsteinbarrier/internal/device"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/robust"
 )
 
@@ -85,14 +86,12 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%-16s %14s %12s %12s\n", "corner", "sw/hw agree", "sw acc", "hw acc")
+	t := &report.Table{Cols: []report.Col{{Head: "corner"}, {Head: "sw/hw agree", Fmt: "%.1f%%"},
+		{Head: "sw acc", Fmt: "%.1f%%"}, {Head: "hw acc", Fmt: "%.1f%%"}}}
 	for _, p := range points {
-		fmt.Fprintf(out, "%-16s %13.1f%% %11.1f%% %11.1f%%\n", p.Label,
-			100*p.Agreement.MatchRate(),
-			100*p.Agreement.SoftwareAccuracy,
-			100*p.Agreement.HardwareAccuracy)
+		t.Add(p.Label, 100*p.Agreement.MatchRate(), 100*p.Agreement.SoftwareAccuracy, 100*p.Agreement.HardwareAccuracy)
 	}
-	return nil
+	return t.Text(out)
 }
 
 func train(seed int64, epochs int) (*bnn.Model, []dataset.Sample, error) {
@@ -115,15 +114,15 @@ func train(seed int64, epochs int) (*bnn.Model, []dataset.Sample, error) {
 }
 
 func mlcStudy(out io.Writer) error {
-	fmt.Fprintln(out, "Multi-level PCM decode error (the paper's §VI-C future work)")
-	fmt.Fprintf(out, "%-8s %16s %16s\n", "levels", "analytic", "monte-carlo")
+	t := &report.Table{Title: "Multi-level PCM decode error (the paper's §VI-C future work)",
+		Cols: []report.Col{{Head: "levels"}, {Head: "analytic", Fmt: "%.6f"}, {Head: "monte-carlo", Fmt: "%.6f"}}}
 	for _, l := range []int{2, 4, 8, 16, 32} {
 		p := device.DefaultMLCParams(l)
 		p.ProgramSigma, p.ReadNoiseSigma = 0.02, 0.005
-		fmt.Fprintf(out, "%-8d %16.6f %16.6f\n", l, p.AnalyticErrorRate(), p.MonteCarloErrorRate(200000, 1))
+		t.Add(l, p.AnalyticErrorRate(), p.MonteCarloErrorRate(200000, 1))
 	}
 	p := device.DefaultMLCParams(2)
 	p.ProgramSigma, p.ReadNoiseSigma = 0.02, 0.005
-	fmt.Fprintf(out, "\nrobust level limit at 1e-4: %d levels\n", p.RobustLevelLimit(1e-4))
-	return nil
+	t.Footer = []string{"", fmt.Sprintf("robust level limit at 1e-4: %d levels", p.RobustLevelLimit(1e-4))}
+	return t.Text(out)
 }

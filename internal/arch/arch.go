@@ -46,6 +46,10 @@ func (d Design) String() string {
 	return fmt.Sprintf("Design(%d)", int(d))
 }
 
+// MarshalText makes JSON exports carry the design's name, not its
+// registry index.
+func (d Design) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
 // Tech returns the VCore technology of the design (ePCM for
 // unregistered handles).
 func (d Design) Tech() device.Technology {

@@ -12,12 +12,12 @@ import (
 // seeds are the PR 5 mesh/shard corner cases from
 // TestRegionRelativeRoundTrip plus single-cell and full-fabric shapes.
 func FuzzRegionRelTile(f *testing.F) {
-	f.Add(0, 4, 0, 0, 4, 4, 0)   // full fabric
-	f.Add(1, 2, 1, 2, 3, 2, 5)   // offset multi-chip rect
-	f.Add(3, 1, 0, 0, 1, 1, 0)   // single cell on the last chip
-	f.Add(0, 8, 0, 0, 2, 2, 17)  // chips beyond the config (invalid)
-	f.Add(2, 1, 3, 3, 1, 1, 0)   // far corner
-	f.Add(0, 1, 0, 0, 4, 1, 3)   // single row
+	f.Add(0, 4, 0, 0, 4, 4, 0)  // full fabric
+	f.Add(1, 2, 1, 2, 3, 2, 5)  // offset multi-chip rect
+	f.Add(3, 1, 0, 0, 1, 1, 0)  // single cell on the last chip
+	f.Add(0, 8, 0, 0, 2, 2, 17) // chips beyond the config (invalid)
+	f.Add(2, 1, 3, 3, 1, 1, 0)  // far corner
+	f.Add(0, 1, 0, 0, 4, 1, 3)  // single row
 	f.Fuzz(func(t *testing.T, chip, chips, x0, y0, w, h, rel int) {
 		cfg := arch.DefaultConfig()
 		r := Region{Chip: chip, Chips: chips, X0: x0, Y0: y0, W: w, H: h}

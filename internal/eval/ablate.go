@@ -2,7 +2,8 @@ package eval
 
 import (
 	"fmt"
-	"strings"
+
+	"einsteinbarrier/internal/report"
 )
 
 // Ablations: the design-choice sweeps DESIGN.md calls out, exposed as
@@ -84,16 +85,13 @@ func AblateCrossbarSize(base Config, sizes []int) ([]AblationPoint, error) {
 	return out, nil
 }
 
-// AblationTable renders points as an aligned text table.
-func AblationTable(title string, points []AblationPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	fmt.Fprintf(&sb, "%-14s %12s %12s %12s %14s %14s\n",
-		"point", "tacit x", "eb x", "eb/tacit", "tacit energy", "eb energy gain")
+// Ablation renders points as a titled table.
+func Ablation(title string, points []AblationPoint) *report.Table {
+	t := &report.Table{Title: title, Cols: []report.Col{{Head: "point"},
+		{Head: "tacit x", Fmt: "%.1fx"}, {Head: "eb x", Fmt: "%.1fx"}, {Head: "eb/tacit", Fmt: "%.1fx"},
+		{Head: "tacit energy", Fmt: "%.2fx"}, {Head: "eb energy gain", Fmt: "%.2fx"}}}
 	for _, p := range points {
-		fmt.Fprintf(&sb, "%-14s %11.1fx %11.1fx %11.1fx %13.2fx %13.2fx\n",
-			p.Label, p.MeanTacitSpeedup, p.MeanEBSpeedup, p.MeanEBOverTacit,
-			p.MeanTacitEnergyX, p.MeanEBEnergyGain)
+		t.Add(p.Label, p.MeanTacitSpeedup, p.MeanEBSpeedup, p.MeanEBOverTacit, p.MeanTacitEnergyX, p.MeanEBEnergyGain)
 	}
-	return sb.String()
+	return t
 }

@@ -61,7 +61,7 @@ func TestAblationTableRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := AblationTable("WDM sweep", points)
+	s := textOf(t, Ablation("WDM sweep", points))
 	for _, frag := range []string{"WDM sweep", "K=1", "K=16", "eb/tacit"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("table missing %q", frag)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
@@ -17,6 +16,7 @@ import (
 	"einsteinbarrier/internal/energy"
 	"einsteinbarrier/internal/gpu"
 	"einsteinbarrier/internal/infer"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/sim"
 	"einsteinbarrier/internal/trace"
 )
@@ -253,69 +253,61 @@ func (r *Report) Summarize() Summary {
 	return s
 }
 
-// Fig7Table renders the Fig. 7 series as an aligned text table.
-func (r *Report) Fig7Table() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fig. 7 — Latency improvement over Baseline-ePCM (higher = better)\n")
-	fmt.Fprintf(&sb, "%-8s %16s %16s %18s\n", "Network", "TacitMap-ePCM", "EinsteinBarrier", "GPU-vs-Baseline*")
+// Fig7 is the Fig. 7 series as a table.
+func (r *Report) Fig7() *report.Table {
+	t := &report.Table{
+		Title: "Fig. 7 — Latency improvement over Baseline-ePCM (higher = better)",
+		Cols: []report.Col{{Head: "Network"}, {Head: "TacitMap-ePCM", Fmt: "%.1fx"},
+			{Head: "EinsteinBarrier", Fmt: "%.1fx"}, {Head: "GPU-vs-Baseline*", Fmt: "%.2fx"}},
+		Footer: []string{"* >1 means Baseline-ePCM beats the GPU on that network."},
+	}
 	for _, n := range r.Networks {
 		tacit, eb, _ := n.Fig7Speedups()
-		fmt.Fprintf(&sb, "%-8s %15.1fx %15.1fx %17.2fx\n",
-			n.Network, tacit, eb, n.LatGPU/n.LatBaseline)
+		t.Add(n.Network, tacit, eb, n.LatGPU/n.LatBaseline)
 	}
 	s := r.Summarize()
-	fmt.Fprintf(&sb, "%-8s %15.1fx %15.1fx\n", "MEAN", s.MeanTacitSpeedup, s.MeanEBSpeedup)
-	fmt.Fprintf(&sb, "%-8s %15.1fx %15.1fx\n", "GMEAN", r.geomean(func(n NetworkResult) float64 {
-		t, _, _ := n.Fig7Speedups()
-		return t
+	t.Add("MEAN", s.MeanTacitSpeedup, s.MeanEBSpeedup)
+	t.Add("GMEAN", r.geomean(func(n NetworkResult) float64 {
+		tacit, _, _ := n.Fig7Speedups()
+		return tacit
 	}), r.geomean(func(n NetworkResult) float64 {
-		_, e, _ := n.Fig7Speedups()
-		return e
+		_, eb, _ := n.Fig7Speedups()
+		return eb
 	}))
-	fmt.Fprintf(&sb, "* >1 means Baseline-ePCM beats the GPU on that network.\n")
-	return sb.String()
+	return t
 }
 
-// Fig8Table renders the Fig. 8 series.
-func (r *Report) Fig8Table() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fig. 8 — Energy normalized to Baseline-ePCM (lower = better)\n")
-	fmt.Fprintf(&sb, "%-8s %16s %16s\n", "Network", "TacitMap-ePCM", "EinsteinBarrier")
+// Fig8 is the Fig. 8 series as a table.
+func (r *Report) Fig8() *report.Table {
+	t := &report.Table{
+		Title: "Fig. 8 — Energy normalized to Baseline-ePCM (lower = better)",
+		Cols:  []report.Col{{Head: "Network"}, {Head: "TacitMap-ePCM", Fmt: "%.2fx"}, {Head: "EinsteinBarrier", Fmt: "%.2fx"}},
+	}
 	for _, n := range r.Networks {
 		tn, en := n.Fig8Normalized()
-		fmt.Fprintf(&sb, "%-8s %15.2fx %15.2fx\n", n.Network, tn, en)
+		t.Add(n.Network, tn, en)
 	}
 	s := r.Summarize()
-	fmt.Fprintf(&sb, "%-8s %15.2fx %15.2fx\n", "MEAN", s.MeanTacitEnergyX, 1/s.MeanEBEnergyGain)
-	return sb.String()
+	t.Add("MEAN", s.MeanTacitEnergyX, 1/s.MeanEBEnergyGain)
+	return t
 }
 
-// SummaryTable renders the §VI callouts next to the paper's values.
-func (r *Report) SummaryTable() string {
+// Observations is the §VI callouts next to the paper's values.
+func (r *Report) Observations() *report.Table {
 	s := r.Summarize()
-	rows := []struct {
-		what     string
-		measured float64
-		paper    string
-	}{
-		{"TacitMap mean latency speedup", s.MeanTacitSpeedup, "~78x"},
-		{"TacitMap max latency speedup", s.MaxTacitSpeedup, "~154x"},
-		{"EinsteinBarrier mean latency speedup", s.MeanEBSpeedup, "~1205x"},
-		{"EinsteinBarrier min latency speedup", s.MinEBSpeedup, "~22x"},
-		{"EinsteinBarrier max latency speedup", s.MaxEBSpeedup, "~3113x"},
-		{"EinsteinBarrier over TacitMap (mean)", s.MeanEBOverTacit, "~15x"},
-		{"TacitMap energy increase vs baseline", s.MeanTacitEnergyX, "~5.35x"},
-		{"EinsteinBarrier energy gain vs baseline", s.MeanEBEnergyGain, "~1.56x"},
-		{"EinsteinBarrier energy gain vs TacitMap", s.MeanEBOverTacitEnergy, "~11.94x"},
-		{"Baseline-ePCM best case vs GPU", s.BaselineVsGPUBest, "~4x faster"},
-		{"Baseline-ePCM worst case vs GPU", 1 / s.BaselineVsGPUWorst, "~27x slower"},
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-42s %12s %14s\n", "Observation (§VI)", "measured", "paper")
-	for _, row := range rows {
-		fmt.Fprintf(&sb, "%-42s %11.2fx %14s\n", row.what, row.measured, row.paper)
-	}
-	return sb.String()
+	t := &report.Table{Cols: []report.Col{{Head: "Observation (§VI)"}, {Head: "measured", Fmt: "%.2fx"}, {Head: "paper"}}}
+	t.Add("TacitMap mean latency speedup", s.MeanTacitSpeedup, "~78x")
+	t.Add("TacitMap max latency speedup", s.MaxTacitSpeedup, "~154x")
+	t.Add("EinsteinBarrier mean latency speedup", s.MeanEBSpeedup, "~1205x")
+	t.Add("EinsteinBarrier min latency speedup", s.MinEBSpeedup, "~22x")
+	t.Add("EinsteinBarrier max latency speedup", s.MaxEBSpeedup, "~3113x")
+	t.Add("EinsteinBarrier over TacitMap (mean)", s.MeanEBOverTacit, "~15x")
+	t.Add("TacitMap energy increase vs baseline", s.MeanTacitEnergyX, "~5.35x")
+	t.Add("EinsteinBarrier energy gain vs baseline", s.MeanEBEnergyGain, "~1.56x")
+	t.Add("EinsteinBarrier energy gain vs TacitMap", s.MeanEBOverTacitEnergy, "~11.94x")
+	t.Add("Baseline-ePCM best case vs GPU", s.BaselineVsGPUBest, "~4x faster")
+	t.Add("Baseline-ePCM worst case vs GPU", 1/s.BaselineVsGPUWorst, "~27x slower")
+	return t
 }
 
 func (r *Report) geomean(f func(NetworkResult) float64) float64 {

@@ -3,13 +3,25 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"einsteinbarrier/internal/report"
 )
+
+// textOf renders a table as aligned text.
+func textOf(t *testing.T, tb *report.Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tb.Text(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
 
 // runOnce caches the default evaluation across tests (it simulates all
 // six networks on four designs).
 var cachedReport *Report
 
-func report(t *testing.T) *Report {
+func runReport(t *testing.T) *Report {
 	t.Helper()
 	if cachedReport == nil {
 		rep, err := Run(DefaultConfig())
@@ -22,7 +34,7 @@ func report(t *testing.T) *Report {
 }
 
 func TestRunCoversZoo(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	if len(rep.Networks) != 6 {
 		t.Fatalf("got %d networks", len(rep.Networks))
 	}
@@ -43,7 +55,7 @@ func TestRunCoversZoo(t *testing.T) {
 // observation bands (direction exact, magnitude within a rough factor —
 // our substrate is a parameterized simulator, not the authors' testbed).
 func TestFig7Bands(t *testing.T) {
-	s := report(t).Summarize()
+	s := runReport(t).Summarize()
 	checks := []struct {
 		name   string
 		got    float64
@@ -65,7 +77,7 @@ func TestFig7Bands(t *testing.T) {
 
 // TestFig8Bands pins the Fig. 8 / §VI-B energy observations.
 func TestFig8Bands(t *testing.T) {
-	s := report(t).Summarize()
+	s := runReport(t).Summarize()
 	if s.MeanTacitEnergyX < 2.5 || s.MeanTacitEnergyX > 11 {
 		t.Errorf("TacitMap energy increase (paper ~5.35x): got %.2f", s.MeanTacitEnergyX)
 	}
@@ -80,7 +92,7 @@ func TestFig8Bands(t *testing.T) {
 // TestGPUCrossover pins §VI-A observation 4: Baseline-ePCM beats the
 // GPU on the first CNN but loses on MLPs (≈27× on MLP-L).
 func TestGPUCrossover(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	s := rep.Summarize()
 	if s.BaselineVsGPUBest < 1.5 {
 		t.Errorf("baseline should beat the GPU somewhere by ≥1.5x (paper ~4x), best %.2f", s.BaselineVsGPUBest)
@@ -104,7 +116,7 @@ func TestGPUCrossover(t *testing.T) {
 // TestPerNetworkDirections: every network individually preserves the
 // paper's ordering.
 func TestPerNetworkDirections(t *testing.T) {
-	for _, n := range report(t).Networks {
+	for _, n := range runReport(t).Networks {
 		tacit, eb, _ := n.Fig7Speedups()
 		if tacit <= 1 {
 			t.Errorf("%s: TacitMap speedup %.2f must exceed 1", n.Network, tacit)
@@ -126,7 +138,7 @@ func TestPerNetworkDirections(t *testing.T) {
 // EB over TacitMap-ePCM on conv-free MLPs stays below K because a dense
 // layer at batch 1 offers a single input vector.
 func TestEBBelowWDMCapacity(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	k := float64(rep.Config.Arch.WDMCapacity)
 	for _, n := range rep.Networks {
 		if !strings.HasPrefix(n.Network, "MLP") {
@@ -140,18 +152,18 @@ func TestEBBelowWDMCapacity(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	rep := report(t)
-	f7 := rep.Fig7Table()
+	rep := runReport(t)
+	f7 := textOf(t, rep.Fig7())
 	for _, frag := range []string{"Fig. 7", "CNN-L", "MLP-L", "MEAN", "GMEAN"} {
 		if !strings.Contains(f7, frag) {
 			t.Fatalf("Fig7Table missing %q", frag)
 		}
 	}
-	f8 := rep.Fig8Table()
+	f8 := textOf(t, rep.Fig8())
 	if !strings.Contains(f8, "Fig. 8") || !strings.Contains(f8, "EinsteinBarrier") {
 		t.Fatal("Fig8Table malformed")
 	}
-	sum := rep.SummaryTable()
+	sum := textOf(t, rep.Observations())
 	for _, frag := range []string{"~78x", "~1205x", "~5.35x", "~11.94x"} {
 		if !strings.Contains(sum, frag) {
 			t.Fatalf("SummaryTable missing paper reference %q", frag)
@@ -160,7 +172,7 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestSortedByName(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	sorted := rep.SortedByName()
 	want := []string{"CNN-S", "CNN-M", "CNN-L", "MLP-S", "MLP-M", "MLP-L"}
 	for i, n := range sorted {

@@ -1,48 +1,14 @@
 package eval
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"io"
-	"strconv"
+
+	"einsteinbarrier/internal/report"
 )
 
 // Export: machine-readable forms of the evaluation for plotting
 // pipelines (the published figures are log-scale bar charts; the CSV
 // columns are exactly their series).
-
-// WriteCSV emits one row per network with the Fig. 7 and Fig. 8 series
-// plus the raw latencies/energies.
-func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"network",
-		"fig7_tacit_speedup", "fig7_eb_speedup", "gpu_vs_baseline",
-		"fig8_tacit_norm_energy", "fig8_eb_norm_energy",
-		"latency_baseline_ns", "latency_tacit_ns", "latency_eb_ns", "latency_gpu_ns",
-		"energy_baseline_pj", "energy_tacit_pj", "energy_eb_pj",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	for _, n := range r.SortedByName() {
-		tacit, eb, _ := n.Fig7Speedups()
-		tn, en := n.Fig8Normalized()
-		row := []string{
-			n.Network,
-			f(tacit), f(eb), f(n.LatGPU / n.LatBaseline),
-			f(tn), f(en),
-			f(n.LatBaseline), f(n.LatTacit), f(n.LatEB), f(n.LatGPU),
-			f(n.EnergyBaseline), f(n.EnergyTacit), f(n.EnergyEB),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // jsonReport is the serialized shape of a Report.
 type jsonReport struct {
@@ -66,29 +32,44 @@ type jsonNetworkRow struct {
 	EnergyEB        float64 `json:"energy_eb_pj"`
 }
 
-// WriteJSON emits the summary and per-network rows as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	out := jsonReport{Summary: r.Summarize()}
+// series returns one row per network in figure order: the Fig. 7 and
+// Fig. 8 series plus the raw latencies/energies.
+func (r *Report) series() []jsonNetworkRow {
+	var out []jsonNetworkRow
 	for _, n := range r.SortedByName() {
 		tacit, eb, _ := n.Fig7Speedups()
 		tn, en := n.Fig8Normalized()
-		out.Networks = append(out.Networks, jsonNetworkRow{
-			Network:         n.Network,
-			TacitSpeedup:    tacit,
-			EBSpeedup:       eb,
-			GPUVsBaseline:   n.LatGPU / n.LatBaseline,
-			TacitNormEnergy: tn,
-			EBNormEnergy:    en,
-			LatencyBaseline: n.LatBaseline,
-			LatencyTacit:    n.LatTacit,
-			LatencyEB:       n.LatEB,
-			LatencyGPU:      n.LatGPU,
-			EnergyBaseline:  n.EnergyBaseline,
-			EnergyTacit:     n.EnergyTacit,
-			EnergyEB:        n.EnergyEB,
+		out = append(out, jsonNetworkRow{
+			n.Network, tacit, eb, n.LatGPU / n.LatBaseline, tn, en,
+			n.LatBaseline, n.LatTacit, n.LatEB, n.LatGPU,
+			n.EnergyBaseline, n.EnergyTacit, n.EnergyEB,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
+}
+
+// WriteCSV emits one row per network with the Fig. 7 and Fig. 8 series
+// plus the raw latencies/energies.
+func (r *Report) WriteCSV(w io.Writer) error {
+	t := &report.Table{}
+	for _, k := range []string{
+		"network",
+		"fig7_tacit_speedup", "fig7_eb_speedup", "gpu_vs_baseline",
+		"fig8_tacit_norm_energy", "fig8_eb_norm_energy",
+		"latency_baseline_ns", "latency_tacit_ns", "latency_eb_ns", "latency_gpu_ns",
+		"energy_baseline_pj", "energy_tacit_pj", "energy_eb_pj",
+	} {
+		t.Cols = append(t.Cols, report.Col{Key: k})
+	}
+	for _, n := range r.series() {
+		t.Add(n.Network, n.TacitSpeedup, n.EBSpeedup, n.GPUVsBaseline, n.TacitNormEnergy, n.EBNormEnergy,
+			n.LatencyBaseline, n.LatencyTacit, n.LatencyEB, n.LatencyGPU,
+			n.EnergyBaseline, n.EnergyTacit, n.EnergyEB)
+	}
+	return t.CSV(w)
+}
+
+// WriteJSON emits the summary and per-network rows as indented JSON.
+func (r *Report) WriteJSON(w io.Writer) error {
+	return report.JSON(w, jsonReport{Summary: r.Summarize(), Networks: r.series()})
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestWriteCSV(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	var buf bytes.Buffer
 	if err := rep.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	rep := report(t)
+	rep := runReport(t)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestFig78GoldenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := report(t)
+	rep := runReport(t)
 	var got bytes.Buffer
 	if err := rep.WriteCSV(&got); err != nil {
 		t.Fatal(err)

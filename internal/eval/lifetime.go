@@ -1,13 +1,13 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/robust"
 	"einsteinbarrier/internal/serve"
 	"einsteinbarrier/internal/trace"
@@ -253,28 +253,27 @@ func buildLifetimeReport(sc LifetimeScenario, designName string, s *serve.Server
 	return rep
 }
 
-// LifetimeTable renders the report as a text summary plus the canary
-// accuracy-over-time trace.
-func LifetimeTable(r LifetimeReport) string {
-	var sb []byte
-	app := func(s string) { sb = append(sb, s...) }
-	app(fmt.Sprintf("Device lifetime: %s", r.Model))
+// Table renders the report as a text summary over the canary
+// accuracy-over-time trace. Its CSV form is the trace itself:
+// trace.WriteCSV on LifetimeTraceRecorder.
+func (r LifetimeReport) Table() *report.Table {
+	title := "Device lifetime: " + r.Model
 	if r.Design != "" {
-		app(fmt.Sprintf(" on %s", r.Design))
+		title += " on " + r.Design
 	}
-	app(fmt.Sprintf(" — %.0f simulated device-seconds\n", r.HorizonSeconds))
-	app(fmt.Sprintf("  availability      %8.3f %%  (%d completed, %d shed, %d failed)\n",
-		r.AvailabilityPct, r.Completed, r.Shed, r.Failed))
-	app(fmt.Sprintf("  recalibrations    %8d     (%.3g J, %.3g ms write time)\n",
-		r.Recalibrations, r.RecalEnergyJ, r.RecalLatencyMs))
-	app(fmt.Sprintf("  retired replicas  %8d\n", r.Retired))
-	app(fmt.Sprintf("  fallback served   %8d samples\n", r.FallbackServed))
+	lines := []string{
+		fmt.Sprintf("%s — %.0f simulated device-seconds", title, r.HorizonSeconds),
+		fmt.Sprintf("  availability      %8.3f %%  (%d completed, %d shed, %d failed)", r.AvailabilityPct, r.Completed, r.Shed, r.Failed),
+		fmt.Sprintf("  recalibrations    %8d     (%.3g J, %.3g ms write time)", r.Recalibrations, r.RecalEnergyJ, r.RecalLatencyMs),
+		fmt.Sprintf("  retired replicas  %8d", r.Retired),
+		fmt.Sprintf("  fallback served   %8d samples", r.FallbackServed),
+	}
 	if r.DrainServed > 0 {
-		app(fmt.Sprintf("  drain p99         %8.3f ms  over %d requests\n", r.DrainP99Ms, r.DrainServed))
+		lines = append(lines, fmt.Sprintf("  drain p99         %8.3f ms  over %d requests", r.DrainP99Ms, r.DrainServed))
 	}
-	app(fmt.Sprintf("  canary accuracy   %8.4f mean, %.4f min over %d probes\n",
-		r.MeanCanary, r.MinCanary, len(r.Trace)))
-	app("\n  served      replica   age s     accuracy  event\n")
+	lines = append(lines, fmt.Sprintf("  canary accuracy   %8.4f mean, %.4f min over %d probes", r.MeanCanary, r.MinCanary, len(r.Trace)), "")
+	t := &report.Table{Title: strings.Join(lines, "\n"), Cols: []report.Col{{Head: "served"}, {Head: "replica"},
+		{Head: "age s", Fmt: "%.0f"}, {Head: "accuracy", Fmt: "%.4f"}, {Head: "event"}}}
 	for _, p := range r.Trace {
 		event := ""
 		switch {
@@ -283,26 +282,7 @@ func LifetimeTable(r LifetimeReport) string {
 		case p.Flagged:
 			event = "flagged"
 		}
-		app(fmt.Sprintf("  %-11d %-9d %-9.0f %-9.4f %s\n",
-			p.ServedSamples, p.Replica, p.AgeSeconds, p.Accuracy, event))
+		t.Add(p.ServedSamples, p.Replica, p.AgeSeconds, p.Accuracy, event)
 	}
-	return string(sb)
-}
-
-// WriteLifetimeJSON emits the full report as indented JSON.
-func WriteLifetimeJSON(w io.Writer, r LifetimeReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteLifetimeCSV emits the accuracy-over-time trace, one row per
-// canary probe — the plottable Fig. 8 dynamic counterpart. Since the
-// trace-observability PR this rides the shared internal/trace CSV
-// schema (kind,pid,tid,track,name,seq,start_ns,dur_ns,a,b): track is
-// the replica, name the lifecycle state (canary/flagged/post-recal),
-// seq and start the served-sample count, a the accuracy, b the wear
-// age in device-seconds.
-func WriteLifetimeCSV(w io.Writer, r LifetimeReport) error {
-	return trace.WriteCSV(w, LifetimeTraceRecorder(r))
+	return t
 }

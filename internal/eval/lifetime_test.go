@@ -10,6 +10,7 @@ import (
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/device"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/robust"
 	"einsteinbarrier/internal/serve"
 	"einsteinbarrier/internal/trace"
@@ -156,7 +157,7 @@ func TestLifetimeWriters(t *testing.T) {
 	}
 
 	var jsonBuf bytes.Buffer
-	if err := WriteLifetimeJSON(&jsonBuf, rep); err != nil {
+	if err := report.JSON(&jsonBuf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var back LifetimeReport
@@ -168,7 +169,7 @@ func TestLifetimeWriters(t *testing.T) {
 	}
 
 	var csvBuf bytes.Buffer
-	if err := WriteLifetimeCSV(&csvBuf, rep); err != nil {
+	if err := trace.WriteCSV(&csvBuf, LifetimeTraceRecorder(rep)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
@@ -185,7 +186,7 @@ func TestLifetimeWriters(t *testing.T) {
 		t.Fatalf("post-recal row not marked: %q", lines[2])
 	}
 
-	table := LifetimeTable(rep)
+	table := textOf(t, rep.Table())
 	for _, want := range []string{"MLP-S", "EinsteinBarrier", "availability", "post-recal", "flagged", "drain p99"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)

@@ -1,17 +1,14 @@
 package eval
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
 	"einsteinbarrier/internal/compiler"
 	"einsteinbarrier/internal/infer"
 	"einsteinbarrier/internal/isa"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/sim"
 )
 
@@ -127,44 +124,29 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 	})
 }
 
-// PlacementTable renders the comparison as an aligned text table.
-func PlacementTable(rows []PlacementRow) string {
-	var sb strings.Builder
+// Placements renders the comparison: the text table shows µs where
+// the CSV keeps ns, and only the CSV repeats the design and batch the
+// title names.
+func Placements(rows []PlacementRow) *report.Table {
+	t := &report.Table{Cols: []report.Col{
+		{Head: "network", Key: "network"}, {Head: "placer", Key: "placer"}, {Key: "design"},
+		{Head: "tiles", Key: "tiles"}, {Head: "vcores", Key: "vcores"},
+		{Head: "hops", Key: "total_hops"}, {Head: "chip", Key: "chip_hops"},
+		{Head: "latency_us", Fmt: "%.2f"}, {Key: "latency_ns"}, {Key: "batch"},
+		{Head: "inf/s", Key: "inferences_per_sec", Fmt: "%.0f"},
+		{Head: "ceiling", Key: "steady_state_per_sec", Fmt: "%.0f"},
+		{Head: "linkwait_us", Fmt: "%.2f"}, {Key: "link_wait_ns"},
+		{Head: "bottleneck", Key: "bottleneck"},
+	}}
 	if len(rows) > 0 {
-		fmt.Fprintf(&sb, "Placement comparison on %v (B=%d)\n", rows[0].Design, rows[0].Batch)
+		t.Title = fmt.Sprintf("Placement comparison on %v (B=%d)", rows[0].Design, rows[0].Batch)
 	}
-	fmt.Fprintf(&sb, "%-8s %-7s %6s %7s %5s %6s %12s %11s %11s %12s  %s\n",
-		"network", "placer", "tiles", "vcores", "hops", "chip", "latency_us", "inf/s", "ceiling", "linkwait_us", "bottleneck")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %-7s %6d %7d %5d %6d %12.2f %11.0f %11.0f %12.2f  %s\n",
-			r.Network, r.Placer, r.Tiles, r.VCores, r.TotalHops, r.ChipHops,
-			r.LatencyNs/1e3, r.ThroughputPerSec, r.SteadyStatePerSec, r.LinkWaitNs/1e3, r.Bottleneck)
+		t.Add(r.Network, r.Placer, r.Design, r.Tiles, r.VCores, r.TotalHops, r.ChipHops,
+			r.LatencyNs/1e3, r.LatencyNs, r.Batch, r.ThroughputPerSec, r.SteadyStatePerSec,
+			r.LinkWaitNs/1e3, r.LinkWaitNs, r.Bottleneck)
 	}
-	return sb.String()
-}
-
-// WritePlacementCSV emits one row per network×placer.
-func WritePlacementCSV(w io.Writer, rows []PlacementRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"network", "placer", "design", "tiles", "vcores", "total_hops", "chip_hops",
-		"latency_ns", "batch", "inferences_per_sec", "steady_state_per_sec", "link_wait_ns", "bottleneck",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	for _, r := range rows {
-		if err := cw.Write([]string{
-			r.Network, r.Placer, r.Design.String(), strconv.Itoa(r.Tiles), strconv.Itoa(r.VCores),
-			strconv.Itoa(r.TotalHops), strconv.Itoa(r.ChipHops),
-			f(r.LatencyNs), strconv.Itoa(r.Batch), f(r.ThroughputPerSec), f(r.SteadyStatePerSec),
-			f(r.LinkWaitNs), r.Bottleneck,
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }
 
 // PlacementWin summarizes one network's beats-or-matches outcome: the
@@ -220,16 +202,15 @@ func PlacementWins(rows []PlacementRow) []PlacementWin {
 	return out
 }
 
-// WinsTable renders the beats-or-matches summary.
-func WinsTable(wins []PlacementWin) string {
-	var sb strings.Builder
+// SearchWins renders the beats-or-matches summary.
+func SearchWins(wins []PlacementWin) *report.Table {
+	t := &report.Table{Cols: []report.Col{{Head: "network"}, {Head: "best-heur"},
+		{Head: "heur inf/s", Fmt: "%.0f"}, {Head: "search inf/s", Fmt: "%.0f"}, {Head: "gain", Fmt: "%.3fx"}}}
 	if len(wins) > 0 {
-		fmt.Fprintf(&sb, "Search vs best heuristic on %s (B=%d)\n", wins[0].Design, wins[0].Batch)
+		t.Title = fmt.Sprintf("Search vs best heuristic on %s (B=%d)", wins[0].Design, wins[0].Batch)
 	}
-	fmt.Fprintf(&sb, "%-8s %-10s %14s %14s %7s\n", "network", "best-heur", "heur inf/s", "search inf/s", "gain")
 	for _, w := range wins {
-		fmt.Fprintf(&sb, "%-8s %-10s %14.0f %14.0f %6.3fx\n",
-			w.Network, w.BestHeuristic, w.HeuristicPerSec, w.SearchPerSec, w.GainX)
+		t.Add(w.Network, w.BestHeuristic, w.HeuristicPerSec, w.SearchPerSec, w.GainX)
 	}
-	return sb.String()
+	return t
 }

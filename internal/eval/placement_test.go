@@ -31,14 +31,14 @@ func TestComparePlacementsTableAndDeterminism(t *testing.T) {
 		t.Fatal("parallel and serial comparison differ")
 	}
 	// The table and CSV render every row.
-	table := PlacementTable(rows)
+	table := textOf(t, Placements(rows))
 	for _, frag := range []string{"greedy", "mesh", "CNN-L", "bottleneck"} {
 		if !strings.Contains(table, frag) {
 			t.Fatalf("table missing %q:\n%s", frag, table)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WritePlacementCSV(&buf, rows); err != nil {
+	if err := Placements(rows).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(rows)+1 {

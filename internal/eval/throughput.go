@@ -1,17 +1,13 @@
 package eval
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
 	"einsteinbarrier/internal/compiler"
 	"einsteinbarrier/internal/infer"
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/sim"
 )
 
@@ -33,18 +29,18 @@ type ThroughputPoint struct {
 
 // ThroughputResult is the batch sweep of one network on one design.
 type ThroughputResult struct {
-	Network string
-	Design  arch.Design
+	Network string      `json:"network"`
+	Design  arch.Design `json:"design"`
 	// LatencyNs is the single-inference critical path (identical to the
 	// Fig. 7 series).
-	LatencyNs float64
+	LatencyNs float64 `json:"latency_ns"`
 	// SteadyStatePerSec is the pipeline's analytic throughput ceiling;
 	// BottleneckName names the saturated resource (stage, mesh link or
 	// chip port).
-	SteadyStatePerSec float64
-	BottleneckName    string
+	SteadyStatePerSec float64 `json:"steady_state_per_sec"`
+	BottleneckName    string  `json:"bottleneck"`
 	// Points holds the sweep, in the requested batch order.
-	Points []ThroughputPoint
+	Points []ThroughputPoint `json:"points"`
 }
 
 // ThroughputAt runs the batch sweep for every zoo network on every
@@ -108,80 +104,31 @@ func ThroughputAt(cfg Config, designs []arch.Design, batches []int) ([]Throughpu
 	})
 }
 
-// ThroughputTable renders a sweep as an aligned text table, one row per
-// network×design, one column per batch size.
-func ThroughputTable(rows []ThroughputResult) string {
-	var sb strings.Builder
-	sb.WriteString("Pipelined batch throughput (inferences/s)\n")
+// ThroughputTables renders a sweep as two tables: text has one row per
+// network×design and one column per batch size; csv has one row per
+// network×design×batch.
+func ThroughputTables(rows []ThroughputResult) (text, csv *report.Table) {
+	text = &report.Table{Title: "Pipelined batch throughput (inferences/s)"}
+	csv = &report.Table{Cols: []report.Col{{Key: "network"}, {Key: "design"}, {Key: "batch"},
+		{Key: "inferences_per_sec"}, {Key: "makespan_ns"}, {Key: "latency_ns"},
+		{Key: "steady_state_per_sec"}, {Key: "bottleneck"}}}
 	if len(rows) == 0 {
-		return sb.String()
+		return text, csv
 	}
-	fmt.Fprintf(&sb, "%-8s %-20s", "network", "design")
+	text.Cols = []report.Col{{Head: "network"}, {Head: "design"}}
 	for _, p := range rows[0].Points {
-		fmt.Fprintf(&sb, " %11s", fmt.Sprintf("B=%d", p.Batch))
+		text.Cols = append(text.Cols, report.Col{Head: fmt.Sprintf("B=%d", p.Batch), Fmt: "%.0f"})
 	}
-	fmt.Fprintf(&sb, " %12s  %s\n", "ceiling", "bottleneck")
+	text.Cols = append(text.Cols, report.Col{Head: "ceiling", Fmt: "%.0f"}, report.Col{Head: "bottleneck"})
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %-20v", r.Network, r.Design)
+		cells := []any{r.Network, r.Design.String()}
 		for _, p := range r.Points {
-			fmt.Fprintf(&sb, " %11.0f", p.PerSec)
+			cells = append(cells, p.PerSec)
+			csv.Add(r.Network, r.Design, p.Batch, p.PerSec, p.MakespanNs, r.LatencyNs, r.SteadyStatePerSec, r.BottleneckName)
 		}
-		fmt.Fprintf(&sb, " %12.0f  %s\n", r.SteadyStatePerSec, r.BottleneckName)
+		text.Add(append(cells, r.SteadyStatePerSec, r.BottleneckName)...)
 	}
-	return sb.String()
-}
-
-// WriteThroughputCSV emits one row per network×design×batch.
-func WriteThroughputCSV(w io.Writer, rows []ThroughputResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"network", "design", "batch", "inferences_per_sec", "makespan_ns",
-		"latency_ns", "steady_state_per_sec", "bottleneck",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	for _, r := range rows {
-		for _, p := range r.Points {
-			if err := cw.Write([]string{
-				r.Network, r.Design.String(), strconv.Itoa(p.Batch),
-				f(p.PerSec), f(p.MakespanNs),
-				f(r.LatencyNs), f(r.SteadyStatePerSec), r.BottleneckName,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// jsonThroughputRow is the serialized shape of one sweep row.
-type jsonThroughputRow struct {
-	Network           string            `json:"network"`
-	Design            string            `json:"design"`
-	LatencyNs         float64           `json:"latency_ns"`
-	SteadyStatePerSec float64           `json:"steady_state_per_sec"`
-	Bottleneck        string            `json:"bottleneck"`
-	Points            []ThroughputPoint `json:"points"`
-}
-
-// WriteThroughputJSON emits the sweep as indented JSON.
-func WriteThroughputJSON(w io.Writer, rows []ThroughputResult) error {
-	out := make([]jsonThroughputRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, jsonThroughputRow{
-			Network:           r.Network,
-			Design:            r.Design.String(),
-			LatencyNs:         r.LatencyNs,
-			SteadyStatePerSec: r.SteadyStatePerSec,
-			Bottleneck:        r.BottleneckName,
-			Points:            r.Points,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return text, csv
 }
 
 // Pipeline compiles one model for one design and returns the tile-level

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"einsteinbarrier/internal/arch"
+	"einsteinbarrier/internal/report"
 )
 
 func throughputRows(t *testing.T, workers int) []ThroughputResult {
@@ -79,8 +80,9 @@ func TestThroughputAtRejectsBadInput(t *testing.T) {
 func TestThroughputExports(t *testing.T) {
 	rows := throughputRows(t, 0)
 
+	text, csvTable := ThroughputTables(rows)
 	var buf bytes.Buffer
-	if err := WriteThroughputCSV(&buf, rows); err != nil {
+	if err := csvTable.CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -99,7 +101,7 @@ func TestThroughputExports(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteThroughputJSON(&buf, rows); err != nil {
+	if err := report.JSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
@@ -113,7 +115,7 @@ func TestThroughputExports(t *testing.T) {
 		t.Fatal("JSON missing steady_state_per_sec")
 	}
 
-	table := ThroughputTable(rows)
+	table := textOf(t, text)
 	for _, frag := range []string{"MLC-ePCM", "EinsteinBarrier-K64", "B=16", "bottleneck"} {
 		if !strings.Contains(table, frag) {
 			t.Fatalf("table missing %q", frag)

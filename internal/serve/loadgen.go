@@ -1,18 +1,15 @@
 package serve
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/tensor"
 )
 
@@ -247,65 +244,31 @@ func SyntheticInputs(size, n int, seed int64) []*tensor.Float {
 	return out
 }
 
-// WriteLoadCSV emits one row per sweep point.
-func WriteLoadCSV(w io.Writer, points []RatePoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"rate_per_sec", "achieved_per_sec", "completed", "shed", "failed",
-		"shed_rate", "mean_batch", "p50_ms", "p95_ms", "p99_ms", "max_ms",
-		"sim_per_sec", "sim_ceiling_per_sec", "sim_energy_pj",
-	}); err != nil {
-		return err
+// LoadCurve renders a rate sweep; the CSV adds the failure, shed-rate,
+// max-latency and sim-energy columns the text table leaves out.
+func LoadCurve(points []RatePoint) *report.Table {
+	t := &report.Table{
+		Title: "Latency–throughput curve (open-loop Poisson arrivals)",
+		Cols: []report.Col{
+			{Head: "rate/s", Key: "rate_per_sec", Fmt: "%.0f"}, {Head: "achieved/s", Key: "achieved_per_sec", Fmt: "%.0f"},
+			{Head: "completed", Key: "completed"}, {Head: "shed", Key: "shed"}, {Key: "failed"}, {Key: "shed_rate"},
+			{Head: "mean batch", Key: "mean_batch", Fmt: "%.1f"}, {Head: "p50 ms", Key: "p50_ms", Fmt: "%.3f"},
+			{Head: "p95 ms", Key: "p95_ms", Fmt: "%.3f"}, {Head: "p99 ms", Key: "p99_ms", Fmt: "%.3f"}, {Key: "max_ms"},
+			{Head: "sim inf/s", Key: "sim_per_sec", Fmt: "%.0f"}, {Head: "sim ceiling", Key: "sim_ceiling_per_sec", Fmt: "%.0f"},
+			{Key: "sim_energy_pj"},
+		},
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	d := func(v int64) string { return strconv.FormatInt(v, 10) }
 	for _, p := range points {
 		st := p.Report.Stats
 		simPerSec, simCeil, simPJ := 0.0, 0.0, 0.0
 		if st.Sim != nil {
 			simPerSec, simCeil, simPJ = st.Sim.PerSec, st.Sim.CeilingPerSec, st.Sim.MeanEnergyPJ
 		}
-		if err := cw.Write([]string{
-			f(p.RatePerSec), f(p.Report.AchievedPerSec),
-			d(p.Report.Completed), d(p.Report.Shed), d(p.Report.Failed),
-			f(st.ShedRate), f(st.MeanBatch),
-			f(st.Latency.P50), f(st.Latency.P95), f(st.Latency.P99), f(st.Latency.Max),
-			f(simPerSec), f(simCeil), f(simPJ),
-		}); err != nil {
-			return err
-		}
+		t.Add(p.RatePerSec, p.Report.AchievedPerSec, p.Report.Completed, p.Report.Shed, p.Report.Failed,
+			st.ShedRate, st.MeanBatch, st.Latency.P50, st.Latency.P95, st.Latency.P99, st.Latency.Max,
+			simPerSec, simCeil, simPJ)
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteLoadJSON emits the sweep as indented JSON.
-func WriteLoadJSON(w io.Writer, points []RatePoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(points)
-}
-
-// LoadTable renders a sweep as an aligned text table.
-func LoadTable(points []RatePoint) string {
-	var sb []byte
-	app := func(s string) { sb = append(sb, s...) }
-	app("Latency–throughput curve (open-loop Poisson arrivals)\n")
-	app(fmt.Sprintf("%-12s %12s %10s %8s %10s %9s %9s %9s %12s %12s\n",
-		"rate/s", "achieved/s", "completed", "shed", "mean batch",
-		"p50 ms", "p95 ms", "p99 ms", "sim inf/s", "sim ceiling"))
-	for _, p := range points {
-		st := p.Report.Stats
-		simPerSec, simCeil := 0.0, 0.0
-		if st.Sim != nil {
-			simPerSec, simCeil = st.Sim.PerSec, st.Sim.CeilingPerSec
-		}
-		app(fmt.Sprintf("%-12.0f %12.0f %10d %8d %10.1f %9.3f %9.3f %9.3f %12.0f %12.0f\n",
-			p.RatePerSec, p.Report.AchievedPerSec, p.Report.Completed, p.Report.Shed,
-			st.MeanBatch, st.Latency.P50, st.Latency.P95, st.Latency.P99,
-			simPerSec, simCeil))
-	}
-	return string(sb)
+	return t
 }
 
 // BatchPoint is one dynamic-batcher size cap of a MaxBatch sweep.
@@ -350,59 +313,27 @@ func SweepMaxBatch(newServer func(maxBatch int) (*Server, error), maxBatches []i
 	return out, nil
 }
 
-// WriteBatchJSON emits the MaxBatch sweep as indented JSON.
-func WriteBatchJSON(w io.Writer, points []BatchPoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(points)
-}
-
-// BatchTable renders a MaxBatch sweep as an aligned text table.
-func BatchTable(points []BatchPoint) string {
-	var sb []byte
-	app := func(s string) { sb = append(sb, s...) }
-	app("Throughput vs dynamic-batch cap (closed loop, bit-parallel software path)\n")
-	app(fmt.Sprintf("%-10s %12s %10s %10s %9s %9s %9s %12s\n",
-		"max-batch", "achieved/s", "completed", "mean batch",
-		"p50 ms", "p95 ms", "p99 ms", "sim inf/s"))
+// BatchCurve renders a MaxBatch sweep; the CSV adds the shed and
+// failure counts.
+func BatchCurve(points []BatchPoint) *report.Table {
+	t := &report.Table{
+		Title: "Throughput vs dynamic-batch cap (closed loop, bit-parallel software path)",
+		Cols: []report.Col{
+			{Head: "max-batch", Key: "max_batch"}, {Head: "achieved/s", Key: "achieved_per_sec", Fmt: "%.0f"},
+			{Head: "completed", Key: "completed"}, {Key: "shed"}, {Key: "failed"},
+			{Head: "mean batch", Key: "mean_batch", Fmt: "%.1f"}, {Head: "p50 ms", Key: "p50_ms", Fmt: "%.3f"},
+			{Head: "p95 ms", Key: "p95_ms", Fmt: "%.3f"}, {Head: "p99 ms", Key: "p99_ms", Fmt: "%.3f"},
+			{Head: "sim inf/s", Key: "sim_per_sec", Fmt: "%.0f"},
+		},
+	}
 	for _, p := range points {
 		st := p.Report.Stats
 		simPerSec := 0.0
 		if st.Sim != nil {
 			simPerSec = st.Sim.PerSec
 		}
-		app(fmt.Sprintf("%-10d %12.0f %10d %10.1f %9.3f %9.3f %9.3f %12.0f\n",
-			p.MaxBatch, p.Report.AchievedPerSec, p.Report.Completed,
-			st.MeanBatch, st.Latency.P50, st.Latency.P95, st.Latency.P99, simPerSec))
+		t.Add(p.MaxBatch, p.Report.AchievedPerSec, p.Report.Completed, p.Report.Shed, p.Report.Failed,
+			st.MeanBatch, st.Latency.P50, st.Latency.P95, st.Latency.P99, simPerSec)
 	}
-	return string(sb)
-}
-
-// WriteBatchCSV emits one row per MaxBatch point.
-func WriteBatchCSV(w io.Writer, points []BatchPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"max_batch", "achieved_per_sec", "completed", "shed", "failed",
-		"mean_batch", "p50_ms", "p95_ms", "p99_ms", "sim_per_sec",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-	d := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, p := range points {
-		st := p.Report.Stats
-		simPerSec := 0.0
-		if st.Sim != nil {
-			simPerSec = st.Sim.PerSec
-		}
-		if err := cw.Write([]string{
-			strconv.Itoa(p.MaxBatch), f(p.Report.AchievedPerSec), d(p.Report.Completed),
-			d(p.Report.Shed), d(p.Report.Failed), f(st.MeanBatch),
-			f(st.Latency.P50), f(st.Latency.P95), f(st.Latency.P99), f(simPerSec),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

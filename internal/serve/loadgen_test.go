@@ -8,8 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"einsteinbarrier/internal/report"
 	"einsteinbarrier/internal/tensor"
 )
+
+// textOf renders a table as aligned text.
+func textOf(t *testing.T, tb *report.Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tb.Text(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
 
 // TestScheduleDeterministic: the open-loop arrival schedule is a pure
 // function of (seed, rate, n) — reproducible runs on any host.
@@ -173,7 +184,7 @@ func TestSweepRatesAndWriters(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteLoadCSV(&buf, points); err != nil {
+	if err := LoadCurve(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -185,7 +196,7 @@ func TestSweepRatesAndWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteLoadJSON(&buf, points); err != nil {
+	if err := report.JSON(&buf, points); err != nil {
 		t.Fatal(err)
 	}
 	var back []RatePoint
@@ -196,7 +207,7 @@ func TestSweepRatesAndWriters(t *testing.T) {
 		t.Fatalf("JSON round-trip wrong: %+v", back)
 	}
 
-	table := LoadTable(points)
+	table := textOf(t, LoadCurve(points))
 	for _, frag := range []string{"rate/s", "p99 ms", "2000", "8000"} {
 		if !strings.Contains(table, frag) {
 			t.Fatalf("table missing %q:\n%s", frag, table)
@@ -262,14 +273,14 @@ func TestSweepMaxBatch(t *testing.T) {
 			points[1].Report.Stats.MeanBatch, points[0].Report.Stats.MeanBatch)
 	}
 
-	tbl := BatchTable(points)
+	tbl := textOf(t, BatchCurve(points))
 	for _, frag := range []string{"max-batch", "achieved/s", "mean batch"} {
 		if !strings.Contains(tbl, frag) {
 			t.Fatalf("batch table missing %q:\n%s", frag, tbl)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteBatchCSV(&buf, points); err != nil {
+	if err := BatchCurve(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -280,7 +291,7 @@ func TestSweepMaxBatch(t *testing.T) {
 		t.Fatalf("CSV shape wrong: %v", recs)
 	}
 	buf.Reset()
-	if err := WriteBatchJSON(&buf, points); err != nil {
+	if err := report.JSON(&buf, points); err != nil {
 		t.Fatal(err)
 	}
 	var back []BatchPoint

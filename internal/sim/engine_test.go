@@ -164,7 +164,7 @@ func TestEngineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := a0.Clone() // results are engine-owned: retain across runs via Clone
+	a := a0.Clone()                           // results are engine-owned: retain across runs via Clone
 	if _, err := e1.RunBatch(7); err != nil { // dirty the scratch
 		t.Fatal(err)
 	}

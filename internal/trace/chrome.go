@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 )
 
@@ -183,6 +184,31 @@ func WriteCSV(w io.Writer, r *Recorder) error {
 		}
 	}
 	return nil
+}
+
+// WriteFiles writes r as Chrome-trace JSON to chromePath and as flat
+// CSV to csvPath. A nil recorder (tracing off) or an empty path writes
+// nothing.
+func WriteFiles(r *Recorder, chromePath, csvPath string) error {
+	if err := writeFile(r, chromePath, WriteChrome); err != nil {
+		return err
+	}
+	return writeFile(r, csvPath, WriteCSV)
+}
+
+func writeFile(r *Recorder, path string, enc func(io.Writer, *Recorder) error) error {
+	if r == nil || path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := enc(f, r); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ftoa renders a float with the shortest exact representation —

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -256,5 +258,30 @@ func TestWriteCSVShape(t *testing.T) {
 	want := `slice,1,1,"with,comma",busy,3,1.5,2.25,4,0.5`
 	if lines[1] != want {
 		t.Fatalf("row = %q want %q", lines[1], want)
+	}
+}
+
+// TestWriteFiles: each non-empty path gets its encoding; a nil recorder
+// or an empty path creates no file.
+func TestWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	r := New(4)
+	r.Emit(Event{Kind: KindSlice, Track: r.AddTrack(r.AddProcess("p"), "t"), Name: r.Intern("busy"), Dur: 10})
+	chrome, csv := filepath.Join(dir, "t.json"), filepath.Join(dir, "t.csv")
+	if err := WriteFiles(r, chrome, csv); err != nil {
+		t.Fatal(err)
+	}
+	for path, prefix := range map[string]string{chrome: "{", csv: CSVHeader} {
+		b, err := os.ReadFile(path)
+		if err != nil || !strings.HasPrefix(string(b), prefix) {
+			t.Fatalf("%s: %v %.40q", path, err, b)
+		}
+	}
+	skipped := filepath.Join(dir, "nil.json")
+	if err := WriteFiles(nil, skipped, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(skipped); !os.IsNotExist(err) {
+		t.Fatalf("nil recorder wrote %s", skipped)
 	}
 }
