@@ -46,17 +46,15 @@ func run(args []string, out io.Writer) error {
 	fig := fs.String("fig", "7", "artifact to regenerate: 7, 8, batch, placement, wdm, steps, ablate, area")
 	summary := fs.Bool("summary", false, "also print the §VI observation summary")
 	seed := fs.Int64("seed", 1, "zoo weight-synthesis seed")
-	k := fs.Int("k", 0, "override WDM capacity (default: architecture default 16)")
-	colsPerADC := fs.Int("cols-per-adc", 0, "override ADC sharing factor")
+	applyArch := eval.ArchFlags(fs)
 	workers := fs.Int("workers", 0, "evaluation worker pool size (0 = one per CPU, 1 = serial)")
 	csvOut := fs.Bool("csv", false, "emit the report as CSV instead of tables")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of tables")
 	batch := fs.String("batch", "1,2,4,8,16,32", "comma-separated batch sizes for -fig batch (-fig placement uses the maximum)")
 	designNames := fs.String("designs", "", "comma-separated design names/aliases (default: every registered design for -fig batch, the paper set otherwise)")
 	placerNames := fs.String("placers", "", "comma-separated placers for -fig placement (default: "+strings.Join(compiler.PlacerNames, ",")+")")
-	searchSteps := fs.Int("search-steps", compiler.DefaultSearchSteps, "candidate-evaluation budget of the search placer")
-	searchSeed := fs.Int64("search-seed", 1, "search placer RNG seed")
-	searchBatch := fs.Int("search-batch", 0, "batch size of the search objective (0 = the figure's batch)")
+	cfg := eval.DefaultConfig()
+	eval.SearchFlags(fs, &cfg.Search, "the figure's batch")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -65,16 +63,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := eval.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Search = eval.SearchSpec{Steps: *searchSteps, Seed: *searchSeed, Batch: *searchBatch}
-	if *k > 0 {
-		cfg.Arch.WDMCapacity = *k
-	}
-	if *colsPerADC > 0 {
-		cfg.Arch.ColumnsPerADC = *colsPerADC
-	}
+	applyArch(&cfg.Arch)
 	designs, err := parseDesigns(*designNames)
 	if err != nil {
 		return err

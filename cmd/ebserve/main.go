@@ -127,9 +127,8 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&o.inferW, "infer-workers", 0, "software backend: per-replica inference pool size (0 = one per CPU)")
 	fs.Int64Var(&o.seed, "seed", 1, "zoo weight-synthesis seed")
 	fs.BoolVar(&o.noPrice, "no-pricing", false, "disable per-batch accelerator pricing")
-	fs.IntVar(&o.searchSteps, "search-steps", compiler.DefaultSearchSteps, "candidate-evaluation budget of -placer search")
-	fs.Int64Var(&o.searchSeed, "search-seed", 1, "search placer RNG seed")
-	fs.IntVar(&o.searchBatch, "search-batch", 0, "batch size of the search objective (0 = -max-batch)")
+	var search eval.SearchSpec
+	eval.SearchFlags(fs, &search, "-max-batch")
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (serve mode)")
 	fs.BoolVar(&o.loadgen, "loadgen", false, "run the embedded load generator instead of serving HTTP")
 	fs.StringVar(&o.rates, "rate", "1000,4000,16000", "comma-separated open-loop arrival rates (req/s); 0 entries select the closed loop")
@@ -156,6 +155,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	o.searchSteps, o.searchSeed, o.searchBatch = search.Steps, search.Seed, search.Batch
 	var err error
 	if o.mode, err = report.ParseMode(*csvOut, *jsonOut); err != nil {
 		return err

@@ -54,13 +54,11 @@ func run(args []string, out io.Writer) error {
 	design := fs.String("design", "eb", "registered design name or alias, or gpu")
 	placerName := fs.String("placer", "greedy", "placement strategy: "+strings.Join(compiler.PlacerNames, ", "))
 	seed := fs.Int64("seed", 1, "weight-synthesis seed")
-	k := fs.Int("k", 0, "override WDM capacity")
-	colsPerADC := fs.Int("cols-per-adc", 0, "override ADC sharing factor")
+	applyArch := eval.ArchFlags(fs)
 	dumpProgram := fs.Bool("program", false, "print the compiled ISA stream")
 	batch := fs.Int("batch", 32, "batch size for the pipeline drill-down")
-	searchSteps := fs.Int("search-steps", compiler.DefaultSearchSteps, "candidate-evaluation budget of -placer search")
-	searchSeed := fs.Int64("search-seed", 1, "search placer RNG seed")
-	searchBatch := fs.Int("search-batch", 0, "batch size of the search objective (0 = -batch)")
+	evalCfg := eval.DefaultConfig()
+	eval.SearchFlags(fs, &evalCfg.Search, "-batch")
 	traceOut := fs.String("trace", "", "write the pipeline drill-down as Chrome-trace JSON (chrome://tracing / Perfetto) to this file")
 	traceCSV := fs.String("trace-csv", "", "write the same trace as flat CSV to this file")
 	traceCand := fs.String("trace-candidate", "", "with -placer search: write the search-candidate trajectory as Chrome-trace JSON to this file")
@@ -71,23 +69,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-trace-candidate needs -placer search")
 	}
 
-	cfg := arch.DefaultConfig()
-	if *k > 0 {
-		cfg.WDMCapacity = *k
-	}
-	if *colsPerADC > 0 {
-		cfg.ColumnsPerADC = *colsPerADC
-	}
+	applyArch(&evalCfg.Arch)
+	cfg := evalCfg.Arch
+	evalCfg.Seed = *seed
 	var candRec *trace.Recorder
 	if *traceCand != "" {
 		// Warm starts, candidates, accept/improve markers: ≤3 events per
 		// objective evaluation.
-		candRec = trace.New(3*(*searchSteps) + 64)
+		candRec = trace.New(3*evalCfg.Search.Steps + 64)
 	}
-	evalCfg := eval.DefaultConfig()
-	evalCfg.Arch = cfg
-	evalCfg.Seed = *seed
-	evalCfg.Search = eval.SearchSpec{Steps: *searchSteps, Seed: *searchSeed, Batch: *searchBatch, Trace: candRec}
+	evalCfg.Search.Trace = candRec
 
 	if *models != "" {
 		if err := runCoLocation(out, strings.Split(*models, ","), *design, *placerName, evalCfg, *batch, *traceOut, *traceCSV); err != nil {

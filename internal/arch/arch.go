@@ -18,7 +18,7 @@ import (
 // Design is a handle into the design registry (registry.go). The three
 // constants below are the paper's evaluated CIM designs (§V-B), which
 // occupy the first registry slots; further designs are added with
-// Register/MustRegister and resolved by name with ParseDesign.
+// MustRegister and resolved by name with ParseDesign.
 type Design int
 
 const (
@@ -124,14 +124,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalTiles returns the tile count across all nodes.
-func (c Config) TotalTiles() int { return c.Nodes * c.TilesPerNode }
+// totalTiles returns the tile count across all nodes.
+func (c Config) totalTiles() int { return c.Nodes * c.TilesPerNode }
 
-// TotalECores returns the ECore count.
-func (c Config) TotalECores() int { return c.TotalTiles() * c.ECoresPerTile }
+// totalECores returns the ECore count.
+func (c Config) totalECores() int { return c.totalTiles() * c.ECoresPerTile }
 
 // TotalVCores returns the crossbar count.
-func (c Config) TotalVCores() int { return c.TotalECores() * c.VCoresPerECore }
+func (c Config) TotalVCores() int { return c.totalECores() * c.VCoresPerECore }
 
 // MeshWidth returns the side of the per-node tile mesh.
 func (c Config) MeshWidth() int {

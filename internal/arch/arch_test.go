@@ -51,11 +51,11 @@ func TestDesignStringsAndTech(t *testing.T) {
 
 func TestHierarchyCounts(t *testing.T) {
 	c := DefaultConfig()
-	if c.TotalTiles() != 64 {
-		t.Fatalf("TotalTiles = %d", c.TotalTiles())
+	if c.totalTiles() != 64 {
+		t.Fatalf("TotalTiles = %d", c.totalTiles())
 	}
-	if c.TotalECores() != 512 {
-		t.Fatalf("TotalECores = %d", c.TotalECores())
+	if c.totalECores() != 512 {
+		t.Fatalf("TotalECores = %d", c.totalECores())
 	}
 	if c.TotalVCores() != 4096 {
 		t.Fatalf("TotalVCores = %d", c.TotalVCores())

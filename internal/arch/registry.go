@@ -124,9 +124,9 @@ var (
 	byName = map[string]Design{}
 )
 
-// Register adds a design spec and returns its Design handle. The name
+// register adds a design spec and returns its Design handle. The name
 // and every alias must be new (case-insensitive).
-func Register(s DesignSpec) (Design, error) {
+func register(s DesignSpec) (Design, error) {
 	if err := s.Validate(); err != nil {
 		return -1, err
 	}
@@ -144,10 +144,10 @@ func Register(s DesignSpec) (Design, error) {
 	return d, nil
 }
 
-// MustRegister is Register that panics on error — for package-level
+// MustRegister is register that panics on error — for package-level
 // design declarations.
 func MustRegister(s DesignSpec) Design {
-	d, err := Register(s)
+	d, err := register(s)
 	if err != nil {
 		panic(err)
 	}

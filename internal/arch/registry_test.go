@@ -91,7 +91,7 @@ func TestRegisterRejects(t *testing.T) {
 	}
 	before := len(Designs())
 	for i, s := range bad {
-		if _, err := Register(s); err == nil {
+		if _, err := register(s); err == nil {
 			t.Errorf("case %d (%q): expected registration error", i, s.Name)
 		}
 	}
@@ -101,7 +101,7 @@ func TestRegisterRejects(t *testing.T) {
 }
 
 func TestRegisterExtends(t *testing.T) {
-	d, err := Register(DesignSpec{
+	d, err := register(DesignSpec{
 		Name:    "Test-Tacit-oPCM",
 		Aliases: []string{"test-tacit-opcm-alias"},
 		Tech:    device.OPCM,

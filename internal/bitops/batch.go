@@ -9,9 +9,9 @@ import "fmt"
 // once, and a whole batch-major activation block is just Features()
 // contiguous words — no per-sample objects.
 //
-// Lane bits at or beyond Lanes() are always zero (the canonical form,
-// mirroring Vector), so ragged batches (< 64 samples) use the same code
-// paths with no masking in the kernels.
+// Lane bits at or beyond the live lane count are always zero (the
+// canonical form, mirroring Vector), so ragged batches (< 64 samples)
+// use the same code paths with no masking in the kernels.
 //
 // Conversion to and from per-sample form is the blocked 64×64 bit
 // transpose (transpose64) that also powers Matrix.Transpose: a feature
@@ -58,17 +58,11 @@ func EnsureBitBatch(b *BitBatch, features, lanes int) *BitBatch {
 // Features returns the per-sample feature count.
 func (b *BitBatch) Features() int { return b.features }
 
-// Lanes returns the live sample count (≤ 64).
-func (b *BitBatch) Lanes() int { return b.lanes }
-
 // Words exposes the backing slice — one word per feature, bit s =
 // sample s. Kernels in internal/bnn compose on these words directly
-// (OR-pooling, im2col gathers); writers must keep lane bits ≥ Lanes()
-// zero.
+// (OR-pooling, im2col gathers); writers must keep lane bits at or
+// beyond the live lane count zero.
 func (b *BitBatch) Words() []uint64 { return b.words }
-
-// Word returns the packed lanes of feature f.
-func (b *BitBatch) Word(f int) uint64 { return b.words[f] }
 
 // laneMask is the canonical-form mask for the live lanes.
 func (b *BitBatch) laneMask() uint64 {
@@ -78,35 +72,12 @@ func (b *BitBatch) laneMask() uint64 {
 	return (1 << uint(b.lanes)) - 1
 }
 
-// Get reports the bit of feature f, lane s.
-func (b *BitBatch) Get(f, s int) bool {
-	b.check(f, s)
-	return b.words[f]>>uint(s)&1 == 1
-}
-
-// SetBool sets the bit of feature f, lane s.
-func (b *BitBatch) SetBool(f, s int, v bool) {
-	b.check(f, s)
-	if v {
-		b.words[f] |= 1 << uint(s)
-	} else {
-		b.words[f] &^= 1 << uint(s)
-	}
-}
-
 func (b *BitBatch) check(f, s int) {
 	if f < 0 || f >= b.features {
 		panic(fmt.Sprintf("bitops: BitBatch feature %d out of range [0,%d)", f, b.features))
 	}
 	if s < 0 || s >= b.lanes {
 		panic(fmt.Sprintf("bitops: BitBatch lane %d out of range [0,%d)", s, b.lanes))
-	}
-}
-
-// Zero clears every word.
-func (b *BitBatch) Zero() {
-	for i := range b.words {
-		b.words[i] = 0
 	}
 }
 
@@ -147,29 +118,11 @@ func PackSamplesInto(samples []*Vector, dst *BitBatch) *BitBatch {
 	return dst
 }
 
-// UnpackSamplesInto is the inverse of PackSamplesInto: lane s → dst[s].
-// dst must hold exactly Lanes() vectors of length Features().
-func (b *BitBatch) UnpackSamplesInto(dst []*Vector) {
-	if len(dst) != b.lanes {
-		panic(fmt.Sprintf("bitops: UnpackSamplesInto got %d dst vectors, want %d lanes", len(dst), b.lanes))
-	}
-	var blk [64]uint64
-	for wb := 0; wb < wordsFor(b.features); wb++ {
-		b.loadBlock(wb, &blk)
-		for s, v := range dst {
-			if v.n != b.features {
-				panic(fmt.Sprintf("bitops: UnpackSamplesInto dst %d has length %d, want %d", s, v.n, b.features))
-			}
-			v.words[wb] = blk[s]
-		}
-	}
-}
-
-// UnpackLanesInto transposes the block into a sample-major Lanes() ×
+// unpackLanesInto transposes the block into a sample-major lanes ×
 // Features() matrix (row s = sample s), reusing dst's storage when
 // capacity allows (nil allocates). This is how the dense batch kernels
 // feed the flat per-row XNOR+popcount path.
-func (b *BitBatch) UnpackLanesInto(dst *Matrix) *Matrix {
+func (b *BitBatch) unpackLanesInto(dst *Matrix) *Matrix {
 	dst = ensureMatrix(dst, b.lanes, b.features)
 	var blk [64]uint64
 	for wb := 0; wb < dst.stride; wb++ {
@@ -221,8 +174,8 @@ func ensureMatrix(m *Matrix, rows, cols int) *Matrix {
 // and are owned by whoever owns the scratch (one per layer clone in
 // internal/bnn).
 type BatchScratch struct {
-	lanesSM *Matrix // Lanes() × cols sample-major input
-	outSM   *Matrix // Lanes() × rows sample-major output bits
+	lanesSM *Matrix // lanes × cols sample-major input
+	outSM   *Matrix // lanes × rows sample-major output bits
 	dots    []int   // rows-long popcounts of one lane
 	rowv    Vector  // reusable row-view header
 }
@@ -236,46 +189,12 @@ func (s *BatchScratch) ensureDots(rows int) []int {
 	return s.dots
 }
 
-// XnorPopcountBatchInto computes dst[s*Rows()+o] = Popcount(lane s ⊙
-// row o) for every live lane s and matrix row o — one binary dense
-// layer applied to the whole batch. dst must have length
-// x.Lanes()*Rows() (nil allocates); scr must be non-nil. Internally the
-// batch transposes to sample-major lanes and streams each lane through
-// the flat XnorPopcountAllInto kernel (AVX-512 VPOPCNTQ when
-// available), which profiling shows beats bit-sliced vertical counters
-// on any CPU with a hardware popcount.
-func (m *Matrix) XnorPopcountBatchInto(x *BitBatch, dst []int, scr *BatchScratch) []int {
-	if x.features != m.cols {
-		panic(fmt.Sprintf("bitops: batch features %d != cols %d", x.features, m.cols))
-	}
-	if dst == nil {
-		dst = make([]int, x.lanes*m.rows)
-	} else if len(dst) != x.lanes*m.rows {
-		panic(fmt.Sprintf("bitops: XnorPopcountBatchInto dst length %d, want %d", len(dst), x.lanes*m.rows))
-	}
-	scr.lanesSM = x.UnpackLanesInto(scr.lanesSM)
-	for s := 0; s < x.lanes; s++ {
-		m.XnorPopcountAllInto(scr.lanesSM.rowInto(s, &scr.rowv), dst[s*m.rows:(s+1)*m.rows])
-	}
-	return dst
-}
-
-// BipolarMatBatchInto is the Eq. (1) form of XnorPopcountBatchInto:
-// dst[s*Rows()+o] = 2·Popcount(lane s ⊙ row o) − cols.
-func (m *Matrix) BipolarMatBatchInto(x *BitBatch, dst []int, scr *BatchScratch) []int {
-	dst = m.XnorPopcountBatchInto(x, dst, scr)
-	for i, pc := range dst {
-		dst[i] = 2*pc - m.cols
-	}
-	return dst
-}
-
 // BipolarSignBatchInto fuses a binary dense layer over the whole batch:
 // out's feature o, lane s is set iff 2·Popcount(lane s ⊙ row o) − cols
 // ≥ thresh[o] — the XNOR+popcount, threshold, and re-binarization of
 // BinaryDense.Forward with the result left directly in batch-major
 // form, never round-tripping through per-sample vectors. out is resized
-// to Rows()×x.Lanes() (nil allocates); steady-state calls allocate
+// to Rows() × the batch lanes (nil allocates); steady-state calls allocate
 // nothing.
 func (m *Matrix) BipolarSignBatchInto(x *BitBatch, thresh []int, out *BitBatch, scr *BatchScratch) *BitBatch {
 	if x.features != m.cols {
@@ -284,7 +203,7 @@ func (m *Matrix) BipolarSignBatchInto(x *BitBatch, thresh []int, out *BitBatch, 
 	if len(thresh) != m.rows {
 		panic(fmt.Sprintf("bitops: thresh length %d, want %d rows", len(thresh), m.rows))
 	}
-	scr.lanesSM = x.UnpackLanesInto(scr.lanesSM)
+	scr.lanesSM = x.unpackLanesInto(scr.lanesSM)
 	scr.outSM = ensureMatrix(scr.outSM, x.lanes, m.rows)
 	dots := scr.ensureDots(m.rows)
 	ostride := scr.outSM.stride
@@ -314,7 +233,7 @@ func (m *Matrix) BipolarSignBatchInto(x *BitBatch, thresh []int, out *BitBatch, 
 
 // packMatrixLanes transposes a sample-major src (rows = lanes) into the
 // batch-major dst (features = src cols); the inverse of
-// UnpackLanesInto.
+// unpackLanesInto.
 func packMatrixLanes(src *Matrix, dst *BitBatch) {
 	var blk [64]uint64
 	for wb := 0; wb < src.stride; wb++ {

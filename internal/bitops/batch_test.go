@@ -27,13 +27,13 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				samples[s] = randVec(rng, features)
 			}
 			b := PackSamples(samples)
-			if b.Features() != features || b.Lanes() != lanes {
-				t.Fatalf("pack dims %dx%d, want %dx%d", b.Features(), b.Lanes(), features, lanes)
+			if b.Features() != features || b.lanes != lanes {
+				t.Fatalf("pack dims %dx%d, want %dx%d", b.Features(), b.lanes, features, lanes)
 			}
-			// Element-level check against Get.
+			// Element-level check against Vector.Get.
 			for s := range samples {
 				for f := 0; f < features; f++ {
-					if b.Get(f, s) != samples[s].Get(f) {
+					if lane(b, f, s) != samples[s].Get(f) {
 						t.Fatalf("features=%d lanes=%d: bit (%d,%d) mismatch", features, lanes, f, s)
 					}
 				}
@@ -45,19 +45,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 					t.Fatalf("features=%d lanes=%d: junk lane bits in word %d", features, lanes, f)
 				}
 			}
-			// Unpack into vectors.
-			back := make([]*Vector, lanes)
-			for s := range back {
-				back[s] = NewVector(features)
-			}
-			b.UnpackSamplesInto(back)
-			for s := range back {
-				if !back[s].Equal(samples[s]) {
-					t.Fatalf("features=%d lanes=%d: unpack lane %d mismatch", features, lanes, s)
-				}
-			}
 			// Unpack into a sample-major matrix.
-			sm := b.UnpackLanesInto(nil)
+			sm := b.unpackLanesInto(nil)
 			if sm.Rows() != lanes || sm.Cols() != features {
 				t.Fatalf("lanes matrix %dx%d, want %dx%d", sm.Rows(), sm.Cols(), lanes, features)
 			}
@@ -89,22 +78,11 @@ func TestBatchKernelsMatchPerSample(t *testing.T) {
 		x := PackSamples(samples)
 		scr := &BatchScratch{}
 
-		pcs := m.XnorPopcountBatchInto(x, nil, scr)
-		dots := m.BipolarMatBatchInto(x, nil, scr)
 		out := m.BipolarSignBatchInto(x, thresh, nil, scr)
 		for s, v := range samples {
-			refPC := m.XnorPopcountAll(v)
 			refDot := m.BipolarMatVec(v)
 			for o := 0; o < tc.rows; o++ {
-				if pcs[s*tc.rows+o] != refPC[o] {
-					t.Fatalf("%dx%d lanes=%d: popcount (s=%d,o=%d) = %d, want %d",
-						tc.rows, tc.cols, tc.lanes, s, o, pcs[s*tc.rows+o], refPC[o])
-				}
-				if dots[s*tc.rows+o] != refDot[o] {
-					t.Fatalf("%dx%d lanes=%d: dot (s=%d,o=%d) = %d, want %d",
-						tc.rows, tc.cols, tc.lanes, s, o, dots[s*tc.rows+o], refDot[o])
-				}
-				if out.Get(o, s) != (refDot[o] >= thresh[o]) {
+				if lane(out, o, s) != (refDot[o] >= thresh[o]) {
 					t.Fatalf("%dx%d lanes=%d: sign bit (s=%d,o=%d) mismatch",
 						tc.rows, tc.cols, tc.lanes, s, o)
 				}
@@ -151,10 +129,8 @@ func TestBatchKernelAllocs(t *testing.T) {
 	scr := &BatchScratch{}
 	x := PackSamples(samples)
 	out := m.BipolarSignBatchInto(x, thresh, nil, scr)
-	dst := m.XnorPopcountBatchInto(x, nil, scr)
 	if n := testing.AllocsPerRun(10, func() {
 		PackSamplesInto(samples, x)
-		m.XnorPopcountBatchInto(x, dst, scr)
 		m.BipolarSignBatchInto(x, thresh, out, scr)
 	}); n != 0 {
 		t.Fatalf("steady-state batch kernels allocated %v times per run", n)
@@ -189,13 +165,9 @@ func FuzzBitBatchRoundTrip(f *testing.F) {
 
 		x := PackSamplesInto(samples, nil)
 		// Round trip must be lossless.
-		back := make([]*Vector, lanes)
-		for s := range back {
-			back[s] = NewVector(cols)
-		}
-		x.UnpackSamplesInto(back)
-		for s := range back {
-			if !back[s].Equal(samples[s]) {
+		back := x.unpackLanesInto(nil)
+		for s := range samples {
+			if !back.Row(s).Equal(samples[s]) {
 				t.Fatalf("round trip lane %d mismatch (cols=%d lanes=%d)", s, cols, lanes)
 			}
 		}
@@ -205,7 +177,7 @@ func FuzzBitBatchRoundTrip(f *testing.F) {
 		for s, v := range samples {
 			ref := m.BipolarMatVec(v)
 			for o := 0; o < rows; o++ {
-				if out.Get(o, s) != (ref[o] >= thresh[o]) {
+				if lane(out, o, s) != (ref[o] >= thresh[o]) {
 					t.Fatalf("sign (s=%d,o=%d) mismatch (rows=%d cols=%d lanes=%d)", s, o, rows, cols, lanes)
 				}
 			}
@@ -219,6 +191,9 @@ func FuzzBitBatchRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// lane reports the bit of feature f, lane s.
+func lane(b *BitBatch, f, s int) bool { return b.words[f]>>uint(s)&1 == 1 }
 
 func abs(v int) int {
 	if v < 0 {

@@ -15,6 +15,15 @@ func randVec(rng *rand.Rand, n int) *Vector {
 	return v
 }
 
+// setBit is the per-bit reference write.
+func setBit(v *Vector, i int, b bool) {
+	if b {
+		v.Set(i)
+	} else {
+		v.Clear(i)
+	}
+}
+
 func TestBlitMatchesPerBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -34,7 +43,7 @@ func TestBlitMatchesPerBitReference(t *testing.T) {
 
 		want := dst.Clone()
 		for i := 0; i < n; i++ {
-			want.SetBool(dstOff+i, src.Get(from+i) != invert)
+			setBit(want, dstOff+i, src.Get(from+i) != invert)
 		}
 		got := dst.Clone()
 		if invert {

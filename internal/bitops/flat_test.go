@@ -11,7 +11,7 @@ func naiveTranspose(m *Matrix) *Matrix {
 	t := NewMatrix(m.Cols(), m.Rows())
 	for r := 0; r < m.Rows(); r++ {
 		for c := 0; c < m.Cols(); c++ {
-			if m.Get(r, c) {
+			if m.Row(r).Get(c) {
 				t.Set(c, r, true)
 			}
 		}
@@ -52,7 +52,7 @@ func TestColWordWiseMatchesGet(t *testing.T) {
 		for c := 0; c < m.Cols(); c++ {
 			col := m.Col(c)
 			for r := 0; r < m.Rows(); r++ {
-				if col.Get(r) != m.Get(r, c) {
+				if col.Get(r) != m.Row(r).Get(c) {
 					t.Fatalf("%dx%d: Col(%d) bit %d mismatch", d[0], d[1], c, r)
 				}
 			}
@@ -63,10 +63,10 @@ func TestColWordWiseMatchesGet(t *testing.T) {
 func TestRowViewSharesStorage(t *testing.T) {
 	m := NewMatrix(3, 70)
 	m.Row(1).Set(69)
-	if !m.Get(1, 69) {
+	if !m.Row(1).Get(69) {
 		t.Fatal("Row view mutation not visible in matrix")
 	}
-	if m.Get(0, 69) || m.Get(2, 69) {
+	if m.Row(0).Get(69) || m.Row(2).Get(69) {
 		t.Fatal("Row view mutation leaked into another row")
 	}
 }
@@ -75,7 +75,7 @@ func TestXnorPopcountAllIntoMatchesAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := randomMatrix(rng, 33, 130)
 	x := randomVector(rng, 130)
-	want := m.XnorPopcountAll(x)
+	want := m.XnorPopcountAllInto(x, nil)
 	dst := make([]int, m.Rows())
 	got := m.XnorPopcountAllInto(x, dst)
 	for i := range want {
@@ -92,11 +92,11 @@ func TestXnorPopcountAllStride16MatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, cols := range []int{1024, 1000, 961} {
 		m := randomMatrix(rng, 37, cols)
-		if m.Stride() != 16 {
-			t.Fatalf("cols=%d: stride %d, want 16", cols, m.Stride())
+		if m.stride != 16 {
+			t.Fatalf("cols=%d: stride %d, want 16", cols, m.stride)
 		}
 		x := randomVector(rng, cols)
-		got := m.XnorPopcountAll(x)
+		got := m.XnorPopcountAllInto(x, nil)
 		for r := 0; r < m.Rows(); r++ {
 			if want := XnorPopcount(x, m.Row(r)); got[r] != want {
 				t.Fatalf("cols=%d row %d: got %d, want %d", cols, r, got[r], want)

@@ -75,7 +75,7 @@ func FuzzBlit(f *testing.F) {
 		dst := fuzzVector(dstN, seed+1)
 		want := dst.Clone()
 		for i := 0; i < n; i++ { // naive bit-at-a-time reference
-			want.SetBool(dstOff+i, src.Get(from+i))
+			setBit(want, dstOff+i, src.Get(from+i))
 		}
 		dst.Blit(dstOff, src, from, to)
 		if !dst.Equal(want) {
@@ -106,7 +106,7 @@ func FuzzBlitNot(f *testing.F) {
 		dst := fuzzVector(dstN, seed+1)
 		want := dst.Clone()
 		for i := 0; i < n; i++ {
-			want.SetBool(dstOff+i, !src.Get(from+i))
+			setBit(want, dstOff+i, !src.Get(from+i))
 		}
 		dst.BlitNot(dstOff, src, from, to)
 		if !dst.Equal(want) {

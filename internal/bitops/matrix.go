@@ -52,11 +52,8 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
 
-// Stride returns the number of 64-bit words per row.
-func (m *Matrix) Stride() int { return m.stride }
-
 // Words exposes the flat row-major backing slice (read-only by
-// convention); row r occupies words[r*Stride() : (r+1)*Stride()].
+// convention); row r occupies words[r*stride : (r+1)*stride].
 func (m *Matrix) Words() []uint64 { return m.words }
 
 // RowWords returns the packed words of row i as a subslice of the
@@ -78,15 +75,6 @@ func (m *Matrix) checkRow(i int) {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("bitops: row %d out of range [0,%d)", i, m.rows))
 	}
-}
-
-// Get reports bit (r, c).
-func (m *Matrix) Get(r, c int) bool {
-	m.checkRow(r)
-	if c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("bitops: col %d out of range [0,%d)", c, m.cols))
-	}
-	return m.words[r*m.stride+c/wordBits]>>(uint(c)%wordBits)&1 == 1
 }
 
 // Set sets bit (r, c) to b.
@@ -190,18 +178,12 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// XnorPopcountAll computes Popcount(x ⊙ row) for every row of the
+// XnorPopcountAllInto computes Popcount(x ⊙ row) for every row of the
 // matrix — the full XNOR+Popcount workload of one BNN layer on one
 // input vector, and the software-reference result that one TacitMap VMM
-// step must reproduce across its columns.
-func (m *Matrix) XnorPopcountAll(x *Vector) []int {
-	return m.XnorPopcountAllInto(x, nil)
-}
-
-// XnorPopcountAllInto is the fused allocation-free kernel behind
-// XnorPopcountAll: it streams the flat backing slice row by row and
-// writes the per-row popcounts into dst (length Rows), allocating only
-// when dst is nil.
+// step must reproduce across its columns. The fused kernel streams the
+// flat backing slice row by row and writes the per-row popcounts into
+// dst (length Rows), allocating only when dst is nil.
 func (m *Matrix) XnorPopcountAllInto(x *Vector, dst []int) []int {
 	if x.Len() != m.cols {
 		panic(fmt.Sprintf("bitops: input length %d != cols %d", x.Len(), m.cols))

@@ -24,7 +24,7 @@ func TestMatrixBasics(t *testing.T) {
 		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
 	}
 	m.Set(1, 4, true)
-	if !m.Get(1, 4) || m.Get(0, 4) {
+	if !m.Row(1).Get(4) || m.Row(0).Get(4) {
 		t.Fatal("Set/Get broken")
 	}
 	col := m.Col(4)
@@ -46,7 +46,7 @@ func TestMatrixFromRowsClones(t *testing.T) {
 	r := NewVector(4)
 	m := MatrixFromRows([]*Vector{r})
 	r.Set(0)
-	if m.Get(0, 0) {
+	if m.Row(0).Get(0) {
 		t.Fatal("MatrixFromRows did not clone")
 	}
 }
@@ -69,7 +69,7 @@ func TestTransposeEntries(t *testing.T) {
 	m.Set(0, 2, true)
 	m.Set(1, 0, true)
 	tr := m.Transpose()
-	if !tr.Get(2, 0) || !tr.Get(0, 1) || tr.Rows() != 3 || tr.Cols() != 2 {
+	if !tr.Row(2).Get(0) || !tr.Row(0).Get(1) || tr.Rows() != 3 || tr.Cols() != 2 {
 		t.Fatal("transpose entries wrong")
 	}
 }
@@ -78,7 +78,7 @@ func TestXnorPopcountAllMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomMatrix(rng, 17, 40)
 	x := randomVector(rng, 40)
-	all := m.XnorPopcountAll(x)
+	all := m.XnorPopcountAllInto(x, nil)
 	for r := 0; r < m.Rows(); r++ {
 		if all[r] != XnorPopcount(x, m.Row(r)) {
 			t.Fatalf("row %d mismatch", r)
@@ -120,15 +120,15 @@ func TestXnorPopcountAllSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.XnorPopcountAll(NewVector(4))
+	m.XnorPopcountAllInto(NewVector(4), nil)
 }
 
 func TestMatrixClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomMatrix(rng, 5, 9)
 	c := m.Clone()
-	c.Set(0, 0, !m.Get(0, 0))
-	if c.Get(0, 0) == m.Get(0, 0) {
+	c.Set(0, 0, !m.Row(0).Get(0))
+	if c.Row(0).Get(0) == m.Row(0).Get(0) {
 		t.Fatal("clone shares storage")
 	}
 }

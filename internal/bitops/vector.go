@@ -91,15 +91,6 @@ func (v *Vector) Clear(i int) {
 	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
-// SetBool sets bit i to b.
-func (v *Vector) SetBool(i int, b bool) {
-	if b {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitops: index %d out of range [0,%d)", i, v.n))

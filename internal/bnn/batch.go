@@ -142,7 +142,7 @@ type denseFPBatch struct {
 // stripe, then ReLU — the scalar Forward loop lane-replicated, so each
 // lane is bit-identical to it.
 func (d *DenseFP) forwardBatch(x *batchAct) *batchAct {
-	in, out := d.InDim(), d.OutDim()
+	in, out := d.inDim(), d.outDim()
 	if sizeOf(x.shape) != in {
 		panic(fmt.Sprintf("bnn: %s: batch input size %d, want %d", d.LayerName, sizeOf(x.shape), in))
 	}

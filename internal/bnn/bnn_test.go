@@ -14,11 +14,11 @@ func TestDenseFPForward(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 0, -1}, 3)
 	y := d.Forward(x)
 	// out0 = 1 + (1-3) = -1; out1 = -1 + (4-6) = -3
-	if y.At(0) != -1 || y.At(1) != -3 {
+	if y.Data()[0] != -1 || y.Data()[1] != -3 {
 		t.Fatalf("forward = %v", y.Data())
 	}
-	if d.MACs() != 6 {
-		t.Fatalf("MACs = %d", d.MACs())
+	if d.macs() != 6 {
+		t.Fatalf("MACs = %d", d.macs())
 	}
 }
 
@@ -26,8 +26,8 @@ func TestDenseFPReLU(t *testing.T) {
 	w := tensor.FromSlice([]float64{-1}, 1, 1)
 	d := &DenseFP{LayerName: "d", W: w, B: []float64{0}, ReLU: true}
 	y := d.Forward(tensor.FromSlice([]float64{5}, 1))
-	if y.At(0) != 0 {
-		t.Fatalf("ReLU failed: %g", y.At(0))
+	if y.Data()[0] != 0 {
+		t.Fatalf("ReLU failed: %g", y.Data()[0])
 	}
 }
 
@@ -53,7 +53,7 @@ func TestBinaryDenseForwardMatchesManual(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 1, -1, -1}, 4)
 	y := b.Forward(x)
 	// dot0 = 1+1-1-1 = 0 ≥ 0 → +1 ; dot1 = 1-1+1+1 = 2 < 3 → -1
-	if y.At(0) != 1 || y.At(1) != -1 {
+	if y.Data()[0] != 1 || y.Data()[1] != -1 {
 		t.Fatalf("forward = %v", y.Data())
 	}
 }
@@ -86,7 +86,7 @@ func TestBinaryConvForwardAgainstDense(t *testing.T) {
 	yc := conv.Forward(x)
 	yd := dense.Forward(x.Reshape(8))
 	for i := 0; i < 4; i++ {
-		if yc.Data()[i] != yd.At(i) {
+		if yc.Data()[i] != yd.Data()[i] {
 			t.Fatalf("conv/dense disagree at %d", i)
 		}
 	}
@@ -104,7 +104,7 @@ func TestBinaryConvWorkload(t *testing.T) {
 func TestSignLayer(t *testing.T) {
 	s := &Sign{LayerName: "s"}
 	y := s.Forward(tensor.FromSlice([]float64{-2, 0, 3}, 3))
-	if y.At(0) != -1 || y.At(1) != -1 || y.At(2) != 1 {
+	if y.Data()[0] != -1 || y.Data()[1] != -1 || y.Data()[2] != 1 {
 		t.Fatalf("sign = %v", y.Data())
 	}
 }
@@ -118,7 +118,7 @@ func TestMaxPool2D(t *testing.T) {
 		-5, -6, -7, -8,
 	}, 1, 4, 4)
 	y := p.Forward(x)
-	if y.At(0, 0, 0) != 6 || y.At(0, 0, 1) != 8 || y.At(0, 1, 0) != -1 || y.At(0, 1, 1) != -3 {
+	if d := y.Data(); d[0] != 6 || d[1] != 8 || d[2] != -1 || d[3] != -3 {
 		t.Fatalf("pool = %v", y.Data())
 	}
 	sh := p.OutShape([]int{1, 4, 4})

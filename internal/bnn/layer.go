@@ -106,16 +106,16 @@ func (d *DenseFP) cloneShared() Layer {
 // Name implements Layer.
 func (d *DenseFP) Name() string { return d.LayerName }
 
-// InDim and OutDim report the weight dimensions.
-func (d *DenseFP) InDim() int  { return d.W.Dim(1) }
-func (d *DenseFP) OutDim() int { return d.W.Dim(0) }
+// inDim and outDim report the weight dimensions.
+func (d *DenseFP) inDim() int  { return d.W.Dim(1) }
+func (d *DenseFP) outDim() int { return d.W.Dim(0) }
 
 // OutShape implements Layer.
-func (d *DenseFP) OutShape(in []int) []int { return []int{d.OutDim()} }
+func (d *DenseFP) OutShape(in []int) []int { return []int{d.outDim()} }
 
 // Forward implements Layer.
 func (d *DenseFP) Forward(x *tensor.Float) *tensor.Float {
-	in, out := d.InDim(), d.OutDim()
+	in, out := d.inDim(), d.outDim()
 	if x.Size() != in {
 		panic(fmt.Sprintf("bnn: %s: input size %d, want %d", d.LayerName, x.Size(), in))
 	}
@@ -138,8 +138,8 @@ func (d *DenseFP) Forward(x *tensor.Float) *tensor.Float {
 	return y
 }
 
-// MACs returns the multiply-accumulate count (FP cost model input).
-func (d *DenseFP) MACs() int64 { return int64(d.InDim()) * int64(d.OutDim()) }
+// macs returns the multiply-accumulate count (FP cost model input).
+func (d *DenseFP) macs() int64 { return int64(d.inDim()) * int64(d.outDim()) }
 
 // ConvFP is a full-precision convolution (the high-resolution first
 // layer of the CNN workloads).
@@ -193,8 +193,8 @@ func (c *ConvFP) Forward(x *tensor.Float) *tensor.Float {
 	return y
 }
 
-// MACs returns the multiply-accumulate count.
-func (c *ConvFP) MACs() int64 {
+// macs returns the multiply-accumulate count.
+func (c *ConvFP) macs() int64 {
 	return int64(c.OutC) * int64(c.Geom.PatchLen()) * int64(c.Geom.Positions())
 }
 
@@ -260,13 +260,6 @@ func (b *BinaryDense) Forward(x *tensor.Float) *tensor.Float {
 		}
 	}
 	return b.out
-}
-
-// ForwardPopcounts exposes the raw popcounts for one binarized input —
-// the quantity the crossbar returns — so integration tests can compare
-// hardware and reference paths stage by stage.
-func (b *BinaryDense) ForwardPopcounts(xb *bitops.Vector) []int {
-	return b.W.XnorPopcountAll(xb)
 }
 
 // BinaryConv2D is a binarized convolution layer: binary kernels over

@@ -84,10 +84,10 @@ func (m *Model) CloneShared() *Model {
 	return c
 }
 
-// BinaryWorkloads collects the XNOR+Popcount workload of every
+// binaryWorkloads collects the XNOR+Popcount workload of every
 // binarized layer, in execution order. This is the input to the
 // compiler and to the analytic cost models.
-func (m *Model) BinaryWorkloads() []Workload {
+func (m *Model) binaryWorkloads() []Workload {
 	var out []Workload
 	for _, l := range m.Layers {
 		if b, ok := l.(Binarized); ok {
@@ -132,12 +132,12 @@ func (m *Model) Costs() []LayerCost {
 			})
 		case *DenseFP:
 			out = append(out, LayerCost{
-				Name: l.Name(), Kind: "fp", MACs: t.MACs(), ActivationBytes: bytes,
-				Work: Workload{LayerName: l.Name(), N: t.OutDim(), M: t.InDim(), Positions: 1},
+				Name: l.Name(), Kind: "fp", MACs: t.macs(), ActivationBytes: bytes,
+				Work: Workload{LayerName: l.Name(), N: t.outDim(), M: t.inDim(), Positions: 1},
 			})
 		case *ConvFP:
 			out = append(out, LayerCost{
-				Name: l.Name(), Kind: "fp", MACs: t.MACs(), ActivationBytes: bytes,
+				Name: l.Name(), Kind: "fp", MACs: t.macs(), ActivationBytes: bytes,
 				Work: Workload{LayerName: l.Name(), N: t.OutC, M: t.Geom.PatchLen(), Positions: t.Geom.Positions()},
 			})
 		default:
@@ -151,7 +151,7 @@ func (m *Model) Costs() []LayerCost {
 // TotalBinaryOps sums the XNOR+Popcount bit operations per inference.
 func (m *Model) TotalBinaryOps() int64 {
 	var total int64
-	for _, w := range m.BinaryWorkloads() {
+	for _, w := range m.binaryWorkloads() {
 		total += w.Ops()
 	}
 	return total
@@ -169,7 +169,7 @@ func (m *Model) TotalFPMACs() int64 {
 // WeightBits counts the binary weight storage of the model.
 func (m *Model) WeightBits() int64 {
 	var total int64
-	for _, w := range m.BinaryWorkloads() {
+	for _, w := range m.binaryWorkloads() {
 		total += int64(w.N) * int64(w.M)
 	}
 	return total

@@ -72,7 +72,7 @@ func TestForwardScratchReuseKeepsResultsCorrect(t *testing.T) {
 		}
 		got := l.Forward(x)
 		xb := bitops.FromFloats(x.Data())
-		dots := l.W.BipolarMatVec(xb)
+		dots := l.W.BipolarMatVecInto(xb, nil)
 		for o, d := range dots {
 			want := -1.0
 			if d >= l.Thresh[o] {

@@ -171,8 +171,8 @@ func (e *encoder) layer(l Layer) {
 	case *DenseFP:
 		e.u8(tagDenseFP)
 		e.str(t.LayerName)
-		e.u32(uint32(t.OutDim()))
-		e.u32(uint32(t.InDim()))
+		e.u32(uint32(t.outDim()))
+		e.u32(uint32(t.inDim()))
 		e.floats(t.W.Data())
 		e.floats(t.B)
 		if t.ReLU {

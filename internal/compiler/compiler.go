@@ -77,15 +77,15 @@ func Compile(model *bnn.Model, cfg arch.Config, design arch.Design) (*Compiled, 
 // placer keeps the allocator's average-hop estimate, so its programs
 // are bit-identical to Compile's.
 //
-// CompileWith is Lower + Lowered.Compile: callers that compile one
+// CompileWith is lower + Lowered.compile: callers that compile one
 // model under many placements (the search placer) hoist the lowering
-// prefix with Lower and pay only the assembly per placement.
+// prefix with lower and pay only the assembly per placement.
 func CompileWith(model *bnn.Model, cfg arch.Config, design arch.Design, opts Options) (*Compiled, error) {
-	lw, err := Lower(model, cfg, design)
+	lw, err := lower(model, cfg, design)
 	if err != nil {
 		return nil, err
 	}
-	return lw.Compile(opts)
+	return lw.compile(opts)
 }
 
 // demandOf sizes one VCore-owning layer for the placer: the output
@@ -108,7 +108,7 @@ func demandOf(lc bnn.LayerCost, vcores int) LayerDemand {
 // output transfer).
 func applyPlacement(layerProgs []isa.Program, demands []LayerDemand, pl *Placement, cfg arch.Config, mesh noc.Config) error {
 	rel := func(chip, tile int) (int, error) {
-		r, err := pl.Region.RelTile(chip, tile, cfg)
+		r, err := pl.Region.relTile(chip, tile, cfg)
 		return r + 1, err
 	}
 	for li := range layerProgs {

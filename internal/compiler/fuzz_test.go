@@ -53,7 +53,7 @@ func FuzzRegionRelTile(f *testing.F) {
 		if tile < 0 || tile >= cfg.TilesPerNode {
 			t.Fatalf("region %v rel %d resolved to tile %d outside the chip", r, rel, tile)
 		}
-		back, err := r.RelTile(c, tile, cfg)
+		back, err := r.relTile(c, tile, cfg)
 		if err != nil {
 			t.Fatalf("region %v: RelTile(%d,%d): %v", r, c, tile, err)
 		}

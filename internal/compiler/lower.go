@@ -14,8 +14,8 @@ import (
 // the VCore allocation and the weight-write count — everything that
 // depends only on (model, config, design), never on where the layers
 // land. The search placer compiles hundreds of candidate placements of
-// ONE model, so this is computed once and replayed through Compile per
-// candidate; CompileWith is Lower + Compile, byte-identical to the
+// ONE model, so this is computed once and replayed through compile per
+// candidate; CompileWith is lower + compile, byte-identical to the
 // monolithic path (pinned by TestLoweredCompileByteIdentical).
 type Lowered struct {
 	// ModelName and Design echo the inputs.
@@ -45,10 +45,10 @@ func (lw *Lowered) Demands() []LayerDemand {
 	return append([]LayerDemand{}, lw.demands...)
 }
 
-// Lower runs the placement-independent compilation prefix: it resolves
+// lower runs the placement-independent compilation prefix: it resolves
 // the design spec, validates the model, and lowers every layer to its
 // instruction template, demand and allocation.
-func Lower(model *bnn.Model, cfg arch.Config, design arch.Design) (*Lowered, error) {
+func lower(model *bnn.Model, cfg arch.Config, design arch.Design) (*Lowered, error) {
 	spec, err := design.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
@@ -108,11 +108,11 @@ func Lower(model *bnn.Model, cfg arch.Config, design arch.Design) (*Lowered, err
 	return lw, nil
 }
 
-// Compile runs the placement-dependent suffix: place the lowered
+// compile runs the placement-dependent suffix: place the lowered
 // layers, rewrite SENDs for layout-exact placements, and assemble the
 // program. It never mutates the Lowered state, so one Lowered serves
 // any number of candidate placements.
-func (lw *Lowered) Compile(opts Options) (*Compiled, error) {
+func (lw *Lowered) compile(opts Options) (*Compiled, error) {
 	placer := opts.Placer
 	if placer == nil {
 		placer = GreedyPlacer{}

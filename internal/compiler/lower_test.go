@@ -16,7 +16,7 @@ func TestLowerCompileMatchesCompileWith(t *testing.T) {
 	for _, name := range bnn.ZooNames {
 		m := mustModel(t, name)
 		for _, d := range arch.Designs() {
-			lw, err := Lower(m, cfg, d)
+			lw, err := lower(m, cfg, d)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, d, err)
 			}
@@ -26,7 +26,7 @@ func TestLowerCompileMatchesCompileWith(t *testing.T) {
 				if err != nil {
 					continue // placer doesn't fit this design; same error either way
 				}
-				got, err := lw.Compile(opts)
+				got, err := lw.compile(opts)
 				if err != nil {
 					t.Fatalf("%s/%v/%s: %v", name, d, placer.Name(), err)
 				}
@@ -54,20 +54,20 @@ func TestLoweredReuseIsPure(t *testing.T) {
 	cfg.TilesPerNode = 4
 	cfg.Nodes = 8
 	m := mustModel(t, "MLP-L")
-	lw, err := Lower(m, cfg, arch.EinsteinBarrier)
+	lw, err := lower(m, cfg, arch.EinsteinBarrier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interleave: shard (splices), greedy (no rewrite), shard again —
 	// the two shard compiles and a fresh CompileWith must agree.
-	first, err := lw.Compile(Options{Placer: ShardPlacer{}})
+	first, err := lw.compile(Options{Placer: ShardPlacer{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lw.Compile(Options{Placer: GreedyPlacer{}}); err != nil {
+	if _, err := lw.compile(Options{Placer: GreedyPlacer{}}); err != nil {
 		t.Fatal(err)
 	}
-	second, err := lw.Compile(Options{Placer: ShardPlacer{}})
+	second, err := lw.compile(Options{Placer: ShardPlacer{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLoweredReuseIsPure(t *testing.T) {
 func TestLoweredAccessors(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	m := mustModel(t, "MLP-S")
-	lw, err := Lower(m, cfg, arch.EinsteinBarrier)
+	lw, err := lower(m, cfg, arch.EinsteinBarrier)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,25 +52,10 @@ func (r Region) Validate(cfg arch.Config) error {
 	return nil
 }
 
-// TileCount is the number of valid tiles the region holds across all
-// its chips (rows that fall off a non-square mesh don't count).
-func (r Region) TileCount(cfg arch.Config) int {
-	w := cfg.MeshWidth()
-	per := 0
-	for y := r.Y0; y < r.Y0+r.H; y++ {
-		for x := r.X0; x < r.X0+r.W; x++ {
-			if y*w+x < cfg.TilesPerNode {
-				per++
-			}
-		}
-	}
-	return per * r.Chips
-}
-
-// RelTile maps a (chip, node-local tile) pair to the region-relative
+// relTile maps a (chip, node-local tile) pair to the region-relative
 // tile id the ISA's SEND Src/Dst operands carry (0-based; the operands
 // store 1+id so that 0 stays "unplaced").
-func (r Region) RelTile(chip, tile int, cfg arch.Config) (int, error) {
+func (r Region) relTile(chip, tile int, cfg arch.Config) (int, error) {
 	w := cfg.MeshWidth()
 	x, y := tile%w, tile/w
 	if chip < r.Chip || chip >= r.Chip+r.Chips ||
@@ -80,7 +65,7 @@ func (r Region) RelTile(chip, tile int, cfg arch.Config) (int, error) {
 	return (chip-r.Chip)*(r.W*r.H) + (y-r.Y0)*r.W + (x - r.X0), nil
 }
 
-// ResolveTile inverts RelTile: region-relative id → (chip, node-local
+// ResolveTile inverts relTile: region-relative id → (chip, node-local
 // tile) — how a consumer of a region-relative program (the SEND
 // src=/dst= operands) maps tile ids back to physical tiles. The
 // simulator schedules from Compiled.Placement directly, so this is the
@@ -98,14 +83,6 @@ func (r Region) ResolveTile(rel int, cfg arch.Config) (chip, tile int, err error
 		return 0, 0, fmt.Errorf("compiler: region-relative tile resolves to %d, chip has %d tiles", tile, cfg.TilesPerNode)
 	}
 	return chip, tile, nil
-}
-
-// Overlaps reports whether two regions share any tile.
-func (r Region) Overlaps(o Region) bool {
-	chips := r.Chip < o.Chip+o.Chips && o.Chip < r.Chip+r.Chips
-	xs := r.X0 < o.X0+o.W && o.X0 < r.X0+r.W
-	ys := r.Y0 < o.Y0+o.H && o.Y0 < r.Y0+r.H
-	return chips && xs && ys
 }
 
 // String renders "n0-3 [0,0 4x4]" style.
@@ -171,7 +148,7 @@ func (p *Placement) Validate(cfg arch.Config) error {
 				return fmt.Errorf("compiler: layer %s has an empty shard", lp.Name)
 			}
 			for _, t := range sh.Tiles {
-				if _, err := p.Region.RelTile(sh.Chip, t, cfg); err != nil {
+				if _, err := p.Region.relTile(sh.Chip, t, cfg); err != nil {
 					return fmt.Errorf("compiler: layer %s: %w", lp.Name, err)
 				}
 			}

@@ -275,7 +275,7 @@ func TestRegionRelativeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := r.RelTile(chip, tile, cfg)
+			back, err := r.relTile(chip, tile, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -141,7 +141,7 @@ func NewSearchPlacer(model *bnn.Model, cfg arch.Config, design arch.Design, eval
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	lw, err := Lower(model, cfg, design)
+	lw, err := lower(model, cfg, design)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +321,7 @@ func (sp *SearchPlacer) score(p *Placement, region Region) (scored, error) {
 			return scored{p: p, score: v, valid: true}, nil
 		}
 	}
-	c, err := sp.low.Compile(Options{Placer: fixedPlacer{p}, Region: &region})
+	c, err := sp.low.compile(Options{Placer: fixedPlacer{p}, Region: &region})
 	if err != nil {
 		return scored{p: p, score: math.Inf(-1)}, nil
 	}

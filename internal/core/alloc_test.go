@@ -100,7 +100,7 @@ func TestCustExecuteIntoZeroAllocs(t *testing.T) {
 	}
 	out := make([]int, n)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := mapped.ExecuteInto(x, out); err != nil {
+		if _, err := mapped.executeInto(x, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -111,7 +111,7 @@ func TestCustExecuteIntoZeroAllocs(t *testing.T) {
 
 func TestExecuteIntoMatchesExecute(t *testing.T) {
 	mapped, x := allocTestLayer(t, device.EPCM)
-	want, err := mapped.Execute(x)
+	want, err := mapped.ExecuteInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExecuteIntoMatchesExecute(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ExecuteInto[%d] = %d, Execute = %d", i, got[i], want[i])
+			t.Fatalf("ExecuteInto[%d] = %d into a caller-owned slice, %d into a fresh one", i, got[i], want[i])
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestPlanTacitGeometry(t *testing.T) {
 	if p.ColTiles != 7 { // ceil(100/16)
 		t.Fatalf("ColTiles = %d, want 7", p.ColTiles)
 	}
-	if p.Tiles() != 21 || p.VMMsPerInput() != 21 {
+	if p.Tiles() != 21 {
 		t.Fatalf("Tiles = %d", p.Tiles())
 	}
 	if p.SerialStepsPerInput() != 1 {
@@ -71,9 +71,6 @@ func TestPlanTacitGeometry(t *testing.T) {
 	}
 	if p.DigitalAddsPerInput() != 100*2 {
 		t.Fatalf("DigitalAdds = %d", p.DigitalAddsPerInput())
-	}
-	if p.CellWrites() != 2*100*70 {
-		t.Fatalf("CellWrites = %d", p.CellWrites())
 	}
 }
 
@@ -118,9 +115,6 @@ func TestPlanCustGeometry(t *testing.T) {
 	if p.SerialStepsPerInput() != 24 {
 		t.Fatalf("serial steps = %d", p.SerialStepsPerInput())
 	}
-	if p.PCSASensesPerInput() != 5000 {
-		t.Fatalf("PCSA senses = %d", p.PCSASensesPerInput())
-	}
 	if p.DigitalAddsPerInput() != 100 {
 		t.Fatalf("digital adds = %d", p.DigitalAddsPerInput())
 	}
@@ -131,8 +125,8 @@ func TestTheoreticalSpeedup(t *testing.T) {
 	// speedup is exactly n.
 	tp, _ := PlanTacit(20, 30, 64, 32)
 	cp, _ := PlanCust(20, 30, 64, 32)
-	if s := TheoreticalSpeedup(tp, cp); s != 20 {
-		t.Fatalf("speedup = %g, want 20", s)
+	if s := cp.SerialStepsPerInput() / tp.SerialStepsPerInput(); s != 20 {
+		t.Fatalf("speedup = %d, want 20", s)
 	}
 }
 
@@ -147,11 +141,11 @@ func TestTacitExecuteMatchesReference(t *testing.T) {
 	}
 	for trial := 0; trial < 10; trial++ {
 		x := randomVector(rng, 75)
-		got, err := mapped.Execute(x)
+		got, err := mapped.ExecuteInto(x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := weights.XnorPopcountAll(x)
+		want := weights.XnorPopcountAllInto(x, nil)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("trial %d output %d: got %d, want %d", trial, j, got[j], want[j])
@@ -168,14 +162,15 @@ func TestTacitExecuteBipolar(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randomVector(rng, 20)
-	got, err := mapped.ExecuteBipolar(x)
+	// Eq. (1): the bipolar dot is 2·popcount − m.
+	pc, err := mapped.ExecuteInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := weights.BipolarMatVec(x)
 	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("output %d: got %d, want %d", j, got[j], want[j])
+		if got := 2*pc[j] - 20; got != want[j] {
+			t.Fatalf("output %d: got %d, want %d", j, got, want[j])
 		}
 	}
 }
@@ -194,7 +189,7 @@ func TestCustExecuteMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := weights.XnorPopcountAll(x)
+		want := weights.XnorPopcountAllInto(x, nil)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("trial %d output %d: got %d, want %d", trial, j, got[j], want[j])
@@ -220,7 +215,7 @@ func TestMappingsAgreeProperty(t *testing.T) {
 			return false
 		}
 		x := randomVector(rng, m)
-		a, err := tm.Execute(x)
+		a, err := tm.ExecuteInto(x, nil)
 		if err != nil {
 			return false
 		}
@@ -228,7 +223,7 @@ func TestMappingsAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := weights.XnorPopcountAll(x)
+		ref := weights.XnorPopcountAllInto(x, nil)
 		for j := range ref {
 			if a[j] != ref[j] || b[j] != ref[j] {
 				return false
@@ -258,7 +253,7 @@ func TestTacitMMMMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		want := weights.XnorPopcountAll(x)
+		want := weights.XnorPopcountAllInto(x, nil)
 		for j := range want {
 			if got[i][j] != want[j] {
 				t.Fatalf("λ%d output %d: got %d, want %d", i, j, got[i][j], want[j])
@@ -283,7 +278,7 @@ func TestExecuteErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	weights := randomMatrix(rng, 4, 8)
 	tm, _ := MapTacit(weights, testArrayConfig(device.EPCM))
-	if _, err := tm.Execute(bitops.NewVector(9)); err == nil {
+	if _, err := tm.ExecuteInto(bitops.NewVector(9), nil); err == nil {
 		t.Fatal("expected input-length error (tacit)")
 	}
 	cm, _ := MapCust(weights, testDiffConfig())
@@ -313,7 +308,7 @@ func TestStatsContrast(t *testing.T) {
 	}
 	tm.ResetStats()
 	x := randomVector(rng, m)
-	if _, err := tm.Execute(x); err != nil {
+	if _, err := tm.ExecuteInto(x, nil); err != nil {
 		t.Fatal(err)
 	}
 	ts := tm.Stats()

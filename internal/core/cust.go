@@ -92,13 +92,13 @@ func (c *CustMapped) Weights() *bitops.Matrix { return c.weights.Clone() }
 // weight vector, one word-line activation per column tile, PCSA sensing
 // and digital popcount, with partial sums merged across column tiles.
 func (c *CustMapped) Execute(x *bitops.Vector) ([]int, error) {
-	return c.ExecuteInto(x, nil)
+	return c.executeInto(x, nil)
 }
 
-// ExecuteInto is the allocation-free form of Execute: the popcounts are
+// executeInto is the allocation-free form of Execute: the popcounts are
 // written into out (length n; nil allocates). Drive and sense vectors
 // live in CustMapped-owned scratch.
-func (c *CustMapped) ExecuteInto(x *bitops.Vector, out []int) ([]int, error) {
+func (c *CustMapped) executeInto(x *bitops.Vector, out []int) ([]int, error) {
 	if x.Len() != c.plan.M {
 		return nil, fmt.Errorf("core: input length %d != m %d", x.Len(), c.plan.M)
 	}
@@ -128,18 +128,6 @@ func (c *CustMapped) ExecuteInto(x *bitops.Vector, out []int) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// ExecuteBipolar returns the {-1,+1} dot products via Eq. (1).
-func (c *CustMapped) ExecuteBipolar(x *bitops.Vector) ([]int, error) {
-	pc, err := c.Execute(x)
-	if err != nil {
-		return nil, err
-	}
-	for i := range pc {
-		pc[i] = 2*pc[i] - c.plan.M
-	}
-	return pc, nil
 }
 
 // Stats aggregates event counters across all tiles.

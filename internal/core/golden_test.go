@@ -61,7 +61,7 @@ func computeCoreGoldens(t *testing.T) coreGoldens {
 			t.Fatal(err)
 		}
 		for _, in := range inputs {
-			out, err := mapped.Execute(in)
+			out, err := mapped.ExecuteInto(in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,11 +62,6 @@ func PlanTacit(n, m, rows, cols int) (TacitPlan, error) {
 // Tiles returns the total number of physical arrays the layer occupies.
 func (p TacitPlan) Tiles() int { return p.RowTiles * p.ColTiles }
 
-// VMMsPerInput is the number of array activations needed to process one
-// input vector. All tiles can fire concurrently given enough arrays, so
-// with full parallelism this is also the work, not the critical path.
-func (p TacitPlan) VMMsPerInput() int { return p.Tiles() }
-
 // SerialStepsPerInput is the critical-path step count for one input
 // vector when tiles map to distinct physical arrays (the spatial-
 // architecture case): a single VMM step, since every tile fires at once
@@ -103,10 +98,6 @@ func (p TacitPlan) DACConversionsPerInput() int {
 // DigitalAddsPerInput counts the partial-popcount additions: each of the
 // N outputs needs RowTiles−1 adds.
 func (p TacitPlan) DigitalAddsPerInput() int { return p.N * (p.RowTiles - 1) }
-
-// CellWrites counts device programming operations to load the layer:
-// every stored bit and its complement.
-func (p TacitPlan) CellWrites() int { return 2 * p.N * p.M }
 
 // CustPlan is the tiling geometry of one BNN layer under CustBinaryMap.
 type CustPlan struct {
@@ -155,9 +146,6 @@ func (p CustPlan) SerialStepsPerInput() int {
 // SingleArrayStepsPerInput is the step count with one physical array.
 func (p CustPlan) SingleArrayStepsPerInput() int { return p.RowActivationsPerInput() }
 
-// PCSASensesPerInput counts sense-amplifier resolutions for one input.
-func (p CustPlan) PCSASensesPerInput() int { return p.N * p.M }
-
 // PopcountOpsPerInput counts digital popcount-tree operations (local
 // 5-bit counters per column + the global tree, one invocation per row
 // activation, per the paper's §III description).
@@ -166,16 +154,6 @@ func (p CustPlan) PopcountOpsPerInput() int { return p.RowActivationsPerInput() 
 // DigitalAddsPerInput counts cross-tile partial merges: each output
 // needs ColTiles−1 adds.
 func (p CustPlan) DigitalAddsPerInput() int { return p.N * (p.ColTiles - 1) }
-
-// CellWrites counts device programming operations (2 devices per bit).
-func (p CustPlan) CellWrites() int { return 2 * p.N * p.M }
-
-// TheoreticalSpeedup returns the paper's §III claim for this layer:
-// using the same underlying device, TacitMap needs SerialSteps=1 where
-// CustBinaryMap needs min(n, rows) — "up to n× lower execution time".
-func TheoreticalSpeedup(tacit TacitPlan, cust CustPlan) float64 {
-	return float64(cust.SerialStepsPerInput()) / float64(tacit.SerialStepsPerInput())
-}
 
 // CompactRect shapes a tile count into the most compact rectangle that
 // fits a mesh of width maxW: the squarest w×h with w·h ≥ tiles and

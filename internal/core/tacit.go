@@ -109,16 +109,11 @@ func (t *TacitMapped) driveInto(x *bitops.Vector, rt int, drive *bitops.Vector) 
 	drive.BlitNot(hi-lo, x, lo, hi)
 }
 
-// Execute performs one full XNOR+Popcount pass for input x (length m):
-// one VMM per tile plus the digital partial-sum adds, returning
-// Popcount(XNOR(x, W_j)) for every weight vector j.
-func (t *TacitMapped) Execute(x *bitops.Vector) ([]int, error) {
-	return t.ExecuteInto(x, nil)
-}
-
-// ExecuteInto is the allocation-free form of Execute: the popcounts are
-// written into out (length n; nil allocates). All intermediate drive
-// vectors and per-tile counts live in TacitMapped-owned scratch.
+// ExecuteInto performs one full XNOR+Popcount pass for input x (length
+// m): one VMM per tile plus the digital partial-sum adds, writing
+// Popcount(XNOR(x, W_j)) for every weight vector j into out (length n;
+// nil allocates). All intermediate drive vectors and per-tile counts
+// live in TacitMapped-owned scratch.
 func (t *TacitMapped) ExecuteInto(x *bitops.Vector, out []int) ([]int, error) {
 	if x.Len() != t.plan.M {
 		return nil, fmt.Errorf("core: input length %d != m %d", x.Len(), t.plan.M)
@@ -212,19 +207,6 @@ func (t *TacitMapped) ExecuteMMMInto(xs []*bitops.Vector, out [][]int) ([][]int,
 	return out, nil
 }
 
-// ExecuteBipolar returns the {-1,+1} dot products via Eq. (1):
-// 2·popcount − m.
-func (t *TacitMapped) ExecuteBipolar(x *bitops.Vector) ([]int, error) {
-	pc, err := t.Execute(x)
-	if err != nil {
-		return nil, err
-	}
-	for i := range pc {
-		pc[i] = 2*pc[i] - t.plan.M
-	}
-	return pc, nil
-}
-
 // Stats aggregates event counters across all tiles.
 func (t *TacitMapped) Stats() crossbar.Stats {
 	var s crossbar.Stats
@@ -299,15 +281,4 @@ func (t *TacitMapped) Age(seconds float64) {
 			a.Age(seconds)
 		}
 	}
-}
-
-// FaultCount sums the injected defects across tiles.
-func (t *TacitMapped) FaultCount() int {
-	total := 0
-	for _, row := range t.arrays {
-		for _, a := range row {
-			total += a.FaultCount()
-		}
-	}
-	return total
 }

@@ -190,25 +190,11 @@ func NewArray(cfg Config) (*Array, error) {
 	return a, nil
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() Config { return a.cfg }
-
 // Stats returns a copy of the accumulated event counters.
 func (a *Array) Stats() Stats { return a.stats }
 
 // ResetStats zeroes the event counters.
 func (a *Array) ResetStats() { a.stats = Stats{} }
-
-// Rows and Cols report the array dimensions.
-func (a *Array) Rows() int { return a.cfg.Rows }
-func (a *Array) Cols() int { return a.cfg.Cols }
-
-// Programmed returns the logical bit matrix currently stored. The
-// matrix is a fresh clone on every call (one rows×cols/64-word
-// allocation) so callers can mutate it freely; hot paths that only
-// need to inspect bits should hold on to one clone instead of calling
-// Programmed per step.
-func (a *Array) Programmed() *bitops.Matrix { return a.programmed.Clone() }
 
 // Program writes the given bit matrix into the array. The matrix must
 // match the array dimensions exactly; use internal/mapping for layouts
@@ -366,7 +352,7 @@ func (a *Array) accumulate(input *bitops.Vector, acc []float64) int {
 			break
 		}
 		// Noisy optical read: RIN on the transmittance, then √signal
-		// shot noise — device.OPCMParams.PhotocurrentFrom with the
+		// shot noise (two draws per cell, in that order), with the
 		// scalars hoisted out of the per-cell loop.
 		rng := a.rng
 		pr := p.InputPowerMW * 1e-3 * p.Responsivity
@@ -432,17 +418,11 @@ func (a *Array) decodeCount(signal float64, activeRows int) int {
 	return n
 }
 
-// VMM performs one analog vector-matrix multiplication: input bit i
-// drives row i, and every column's accumulated signal is converted by
-// the (shared) ADCs. The returned slice holds, per column, the decoded
-// count of ON cells among the driven rows — for a TacitMap-programmed
-// column this is exactly Popcount(XNOR(x, w)).
-func (a *Array) VMM(input *bitops.Vector) ([]int, error) {
-	return a.VMMInto(input, nil)
-}
-
-// VMMInto is the allocation-free form of VMM: it writes the decoded
-// counts into dst (length Cols; nil allocates) and returns it. With a
+// VMMInto performs one analog vector-matrix multiplication: input bit
+// i drives row i, and every column's accumulated signal is converted by
+// the (shared) ADCs. It writes, per column, the decoded count of ON
+// cells among the driven rows into dst (length Cols; nil allocates) —
+// for a TacitMap-programmed column exactly Popcount(XNOR(x, w)). With a
 // caller-owned dst the steady-state path performs zero heap
 // allocations.
 func (a *Array) VMMInto(input *bitops.Vector, dst []int) ([]int, error) {
@@ -470,24 +450,18 @@ func (a *Array) VMMInto(input *bitops.Vector, dst []int) ([]int, error) {
 // with one ADC per ColumnsPerADC columns — i.e. ColumnsPerADC rounds).
 func (a *Array) ADCStepsPerVMM() int { return a.cfg.ColumnsPerADC }
 
-// MMM performs a wavelength-division-multiplexed matrix-matrix multiply
-// on an oPCM array: each input vector rides its own wavelength through
-// the same column, and per-column per-wavelength photodetection recovers
-// one count per (column, wavelength). Crosstalk couples a fraction of
-// the aggregate other-wavelength signal into each channel before
-// decoding. Returns counts[k][col] for input k.
-//
-// Calling MMM on an ePCM array returns an error: frequency multiplexing
-// has no electrical equivalent (paper §II-C).
-func (a *Array) MMM(inputs []*bitops.Vector) ([][]int, error) {
-	return a.MMMInto(inputs, nil)
-}
-
-// MMMInto is the allocation-free form of MMM: dst must be nil (fully
-// allocated here) or have one row of length Cols per input (nil rows
-// are allocated). The per-wavelength signal planes live in array-owned
-// scratch that grows to the largest K seen, so the steady-state path
-// performs zero heap allocations.
+// MMMInto performs a wavelength-division-multiplexed matrix-matrix
+// multiply on an oPCM array: each input vector rides its own wavelength
+// through the same column, and per-column per-wavelength photodetection
+// recovers one count per (column, wavelength). Crosstalk couples a
+// fraction of the aggregate other-wavelength signal into each channel
+// before decoding. It writes counts[k][col] for input k into dst, which
+// must be nil (fully allocated here) or have one row of length Cols per
+// input (nil rows are allocated). Calling it on an ePCM array returns
+// an error: frequency multiplexing has no electrical equivalent (paper
+// §II-C). The per-wavelength signal planes live in array-owned scratch
+// that grows to the largest K seen, so the steady-state path performs
+// zero heap allocations.
 func (a *Array) MMMInto(inputs []*bitops.Vector, dst [][]int) ([][]int, error) {
 	if a.cfg.Tech != device.OPCM {
 		return nil, fmt.Errorf("crossbar: MMM requires oPCM, array is %v", a.cfg.Tech)

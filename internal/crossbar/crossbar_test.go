@@ -65,16 +65,16 @@ func TestIdealVMMMatchesAndPopcount(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(2))
-		m := randomMatrix(rng, arr.Rows(), arr.Cols())
+		m := randomMatrix(rng, arr.cfg.Rows, arr.cfg.Cols)
 		if err := arr.Program(m); err != nil {
 			t.Fatal(err)
 		}
-		x := randomVector(rng, arr.Rows())
-		got, err := arr.VMM(x)
+		x := randomVector(rng, arr.cfg.Rows)
+		got, err := arr.VMMInto(x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := 0; c < arr.Cols(); c++ {
+		for c := 0; c < arr.cfg.Cols; c++ {
 			want := bitops.AndPopcount(x, m.Col(c))
 			if got[c] != want {
 				t.Fatalf("%v col %d: got %d, want %d", tech, c, got[c], want)
@@ -109,7 +109,7 @@ func TestTacitMapColumnOnArray(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		x := randomVector(rng, m)
-		counts, err := arr.VMM(bitops.Concat(x, x.Not()))
+		counts, err := arr.VMMInto(bitops.Concat(x, x.Not()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestTacitMapColumnOnArray(t *testing.T) {
 
 func TestVMMInputLengthMismatch(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
-	if _, err := arr.VMM(bitops.NewVector(3)); err == nil {
+	if _, err := arr.VMMInto(bitops.NewVector(3), nil); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }
@@ -139,19 +139,19 @@ func TestProgramDimensionMismatch(t *testing.T) {
 
 func TestVMMStatsAccounting(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
-	x := bitops.NewVector(arr.Rows())
+	x := bitops.NewVector(arr.cfg.Rows)
 	x.Set(0)
 	x.Set(5)
 	x.Set(10)
-	if _, err := arr.VMM(x); err != nil {
+	if _, err := arr.VMMInto(x, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := arr.Stats()
 	if s.VMMOps != 1 || s.RowActivations != 3 || s.DACConversions != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.ADCConversions != int64(arr.Cols()) {
-		t.Fatalf("ADC conversions = %d, want %d", s.ADCConversions, arr.Cols())
+	if s.ADCConversions != int64(arr.cfg.Cols) {
+		t.Fatalf("ADC conversions = %d, want %d", s.ADCConversions, arr.cfg.Cols)
 	}
 	arr.ResetStats()
 	if arr.Stats() != (Stats{}) {
@@ -161,17 +161,17 @@ func TestVMMStatsAccounting(t *testing.T) {
 
 func TestMMMRequiresOPCM(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
-	if _, err := arr.MMM([]*bitops.Vector{bitops.NewVector(arr.Rows())}); err == nil {
+	if _, err := arr.MMMInto([]*bitops.Vector{bitops.NewVector(arr.cfg.Rows)}, nil); err == nil {
 		t.Fatal("expected error: MMM on ePCM")
 	}
 }
 
 func TestMMMEmptyAndMismatchedInputs(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.OPCM, true, 0))
-	if _, err := arr.MMM(nil); err == nil {
+	if _, err := arr.MMMInto(nil, nil); err == nil {
 		t.Fatal("expected error for empty inputs")
 	}
-	if _, err := arr.MMM([]*bitops.Vector{bitops.NewVector(1)}); err == nil {
+	if _, err := arr.MMMInto([]*bitops.Vector{bitops.NewVector(1)}, nil); err == nil {
 		t.Fatal("expected error for wrong length")
 	}
 }
@@ -194,7 +194,7 @@ func TestMMMMatchesPerVectorVMM(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = randomVector(rng, cfg.Rows)
 	}
-	got, err := arr.MMM(inputs)
+	got, err := arr.MMMInto(inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMMMHeavyCrosstalkCorruptsDecode(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = randomVector(rng, cfg.Rows)
 	}
-	got, err := arr.MMM(inputs)
+	got, err := arr.MMMInto(inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDriftedArrayStillDecodes(t *testing.T) {
 	_ = arr.Program(m)
 	arr.Age(3600)
 	x := randomVector(rng, cfg.Rows)
-	got, err := arr.VMM(x)
+	got, err := arr.VMMInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestNoisyDecodeExactProperty(t *testing.T) {
 			return false
 		}
 		x := randomVector(rng, cfg.Rows)
-		got, err := arr.VMM(x)
+		got, err := arr.VMMInto(x, nil)
 		if err != nil {
 			return false
 		}
@@ -316,9 +316,9 @@ func TestADCStepsPerVMM(t *testing.T) {
 func TestProgrammedRoundTrip(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
 	rng := rand.New(rand.NewSource(1))
-	m := randomMatrix(rng, arr.Rows(), arr.Cols())
+	m := randomMatrix(rng, arr.cfg.Rows, arr.cfg.Cols)
 	_ = arr.Program(m)
-	got := arr.Programmed()
+	got := arr.programmed
 	for r := 0; r < m.Rows(); r++ {
 		if !got.Row(r).Equal(m.Row(r)) {
 			t.Fatal("Programmed round trip failed")

@@ -49,7 +49,6 @@ type DiffStats struct {
 	CellWrites     int64 // physical device writes (2 per logical bit)
 	RowActivations int64 // sequential word-line steps
 	PCSASenses     int64 // sense-amplifier resolutions
-	PopcountOps    int64 // digital popcount tree operations
 }
 
 // Add accumulates other into s.
@@ -57,7 +56,6 @@ func (s *DiffStats) Add(o DiffStats) {
 	s.CellWrites += o.CellWrites
 	s.RowActivations += o.RowActivations
 	s.PCSASenses += o.PCSASenses
-	s.PopcountOps += o.PopcountOps
 }
 
 // DiffArray is a programmed 2T2R array. Like Array it stores no
@@ -72,7 +70,6 @@ type DiffArray struct {
 	negG       []float64 // as-programmed conductance of the ¬w devices
 	bits       *bitops.Matrix
 	stats      DiffStats
-	sense      *bitops.Vector // scratch for RowXnorPopcount
 }
 
 // NewDiffArray allocates an all-zero 2T2R array.
@@ -88,24 +85,16 @@ func NewDiffArray(cfg DiffConfig) (*DiffArray, error) {
 	a.posG = make([]float64, n)
 	a.negG = make([]float64, n)
 	a.bits = bitops.NewMatrix(cfg.Rows, cfg.Cols)
-	a.sense = bitops.NewVector(cfg.Cols)
 	a.programAll(a.bits)
 	a.stats = DiffStats{}
 	return a, nil
 }
-
-// Config returns the array configuration.
-func (a *DiffArray) Config() DiffConfig { return a.cfg }
 
 // Stats returns a copy of the event counters.
 func (a *DiffArray) Stats() DiffStats { return a.stats }
 
 // ResetStats zeroes the counters.
 func (a *DiffArray) ResetStats() { a.stats = DiffStats{} }
-
-// Rows and Cols report logical dimensions.
-func (a *DiffArray) Rows() int { return a.cfg.Rows }
-func (a *DiffArray) Cols() int { return a.cfg.Cols }
 
 // Program stores the logical bit matrix; each bit programs the (w, ¬w)
 // device pair.
@@ -135,18 +124,6 @@ func (a *DiffArray) programAll(m *bitops.Matrix) {
 		}
 	}
 	a.stats.CellWrites += 2 * int64(a.rows*a.cols)
-}
-
-// ReadRowXnor activates word line row with the interleaved input pair
-// (x on the direct bit lines, ¬x on the complement bit lines) and
-// resolves the per-column PCSA outputs: out[j] = XNOR(x_j, w_{row,j}).
-//
-// Physically: the cell pair contributes current x_j·g(w_j) + x̄_j·g(¬w_j);
-// that sum is ≈ g_on when x_j == w_j and ≈ g_off otherwise, so the PCSA
-// thresholds at the midpoint. Device noise can flip marginal senses,
-// which the tests quantify.
-func (a *DiffArray) ReadRowXnor(row int, x *bitops.Vector) (*bitops.Vector, error) {
-	return a.ReadRowXnorInto(row, x, nil)
 }
 
 // ReadRowXnorInto is the allocation-free form of ReadRowXnor: the PCSA
@@ -197,33 +174,5 @@ func (a *DiffArray) ReadRowXnorInto(row int, x, out *bitops.Vector) (*bitops.Vec
 	}
 	a.stats.PCSASenses += int64(a.cols)
 	a.stats.RowActivations++
-	return out, nil
-}
-
-// RowXnorPopcount performs one full CustBinaryMap step: activate a row,
-// sense all PCSAs, then run the digital popcount tree over the sensed
-// bits. This is the 2-step (sense + count) operation the paper contrasts
-// with TacitMap's single analog step. Uses array-owned sense scratch,
-// so it performs no steady-state allocations.
-func (a *DiffArray) RowXnorPopcount(row int, x *bitops.Vector) (int, error) {
-	bitsOut, err := a.ReadRowXnorInto(row, x, a.sense)
-	if err != nil {
-		return 0, err
-	}
-	a.stats.PopcountOps++
-	return bitsOut.Popcount(), nil
-}
-
-// AllRowsXnorPopcount processes every stored weight vector sequentially
-// — n steps for n rows, the baseline's fundamental serialization.
-func (a *DiffArray) AllRowsXnorPopcount(x *bitops.Vector) ([]int, error) {
-	out := make([]int, a.cfg.Rows)
-	for r := 0; r < a.cfg.Rows; r++ {
-		pc, err := a.RowXnorPopcount(r, x)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = pc
-	}
 	return out, nil
 }

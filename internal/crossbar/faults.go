@@ -96,9 +96,6 @@ func (a *Array) applyFaults() {
 	}
 }
 
-// FaultCount returns the number of injected defects.
-func (a *Array) FaultCount() int { return a.faultCount }
-
 // EffectiveBits returns the logical matrix actually stored, i.e. the
 // programmed bits with stuck cells overridden — what the analog compute
 // really sees. The matrix is a fresh clone on every call.

@@ -70,8 +70,8 @@ func fuzzInjectFaults(t *testing.T, onRate, offRate float64, faultSeed, progSeed
 	if flipped != wantFlipped {
 		t.Fatalf("flipped = %d, mask says %d", flipped, wantFlipped)
 	}
-	if arr.FaultCount() != wantFaults {
-		t.Fatalf("FaultCount = %d, mask popcount %d", arr.FaultCount(), wantFaults)
+	if arr.faultCount != wantFaults {
+		t.Fatalf("FaultCount = %d, mask popcount %d", arr.faultCount, wantFaults)
 	}
 
 	snapshot := func() ([]float64, []float64, []uint64) {
@@ -110,8 +110,8 @@ func fuzzInjectFaults(t *testing.T, onRate, offRate float64, faultSeed, progSeed
 			t.Fatalf("ideal=%v: Reprogram changed effective bits at word %d", ideal, i)
 		}
 	}
-	if arr.FaultCount() != wantFaults {
-		t.Fatalf("Reprogram changed FaultCount: %d != %d", arr.FaultCount(), wantFaults)
+	if arr.faultCount != wantFaults {
+		t.Fatalf("Reprogram changed FaultCount: %d != %d", arr.faultCount, wantFaults)
 	}
 	again, err := arr.InjectFaults(fm)
 	if err != nil || again != flipped {

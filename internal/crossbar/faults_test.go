@@ -41,7 +41,7 @@ func TestInjectFaultsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := cfg.Rows * cfg.Cols
-	count := arr.FaultCount()
+	count := arr.faultCount
 	// ~4% of cells defective; roughly half change logical content.
 	if count < total/50 || count > total/10 {
 		t.Fatalf("fault count %d implausible for 4%% of %d", count, total)
@@ -64,7 +64,7 @@ func TestFaultedVMMMatchesEffectiveBits(t *testing.T) {
 	}
 	eff := arr.EffectiveBits()
 	x := randomVector(rng, cfg.Rows)
-	got, err := arr.VMM(x)
+	got, err := arr.VMMInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,10 @@ func TestFaultsSurviveReprogramming(t *testing.T) {
 	if _, err := arr.InjectFaults(FaultModel{StuckOnRate: 0.1, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	before := arr.FaultCount()
+	before := arr.faultCount
 	rng := rand.New(rand.NewSource(6))
 	_ = arr.Program(randomMatrix(rng, cfg.Rows, cfg.Cols))
-	if arr.FaultCount() != before {
+	if arr.faultCount != before {
 		t.Fatal("reprogramming must not heal defects")
 	}
 	// Every stuck-ON cell must read 1 regardless of programming.
@@ -102,14 +102,14 @@ func TestFaultsSurviveReprogramming(t *testing.T) {
 	onCells := 0
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
-			if eff2.Get(r, c) {
+			if eff2.Row(r).Get(c) {
 				onCells++
 			}
 		}
 	}
-	if onCells != arr.FaultCount() {
+	if onCells != arr.faultCount {
 		// all faults were stuck-ON in this model
-		t.Fatalf("expected %d stuck-ON survivors, got %d", arr.FaultCount(), onCells)
+		t.Fatalf("expected %d stuck-ON survivors, got %d", arr.faultCount, onCells)
 	}
 	_ = eff
 }
@@ -125,7 +125,7 @@ func TestMaxPopcountErrorBound(t *testing.T) {
 	_, _ = arr.InjectFaults(FaultModel{StuckOnRate: 0.03, StuckOffRate: 0.03, Seed: 4})
 	bound := arr.MaxPopcountError()
 	x := randomVector(rng, cfg.Rows)
-	got, _ := arr.VMM(x)
+	got, _ := arr.VMMInto(x, nil)
 	worst := 0
 	for c := 0; c < cfg.Cols; c++ {
 		ideal := bitops.AndPopcount(x, m.Col(c))

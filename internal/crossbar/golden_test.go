@@ -62,7 +62,7 @@ func computeCrossbarGoldens(t *testing.T) crossbarGoldens {
 		inputs[i] = randomVector(rng, ecfg.Rows)
 	}
 	for _, in := range inputs {
-		out, err := earr.VMM(in)
+		out, err := earr.VMMInto(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func computeCrossbarGoldens(t *testing.T) crossbarGoldens {
 	}
 	earr.Age(3600)
 	for _, in := range inputs {
-		out, err := earr.VMM(in)
+		out, err := earr.VMMInto(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +99,13 @@ func computeCrossbarGoldens(t *testing.T) crossbarGoldens {
 		mmmIn = append(mmmIn, randomVector(rng, ocfg.Rows))
 	}
 	for _, in := range mmmIn {
-		out, err := oarr.VMM(in)
+		out, err := oarr.VMMInto(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.OPCMVMM = append(g.OPCMVMM, out)
 	}
-	mmm, err := oarr.MMM(mmmIn)
+	mmm, err := oarr.MMMInto(mmmIn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestIRDropZeroMatchesVMM(t *testing.T) {
 	m := randomMatrix(rng, cfg.Rows, cfg.Cols)
 	_ = arr.Program(m)
 	x := randomVector(rng, cfg.Rows)
-	want, err := arr.VMM(x)
+	want, err := arr.VMMInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestIRDropZeroMatchesVMM(t *testing.T) {
 
 func TestIRDropRequiresEPCM(t *testing.T) {
 	arr, _ := NewArray(smallConfig(device.OPCM, true, 0))
-	if _, err := arr.VMMWithIRDrop(bitops.NewVector(arr.Rows()), IRDropModel{SegmentOhm: 1}); err == nil {
+	if _, err := arr.VMMWithIRDrop(bitops.NewVector(arr.cfg.Rows), IRDropModel{SegmentOhm: 1}); err == nil {
 		t.Fatal("expected ePCM-only error")
 	}
 }

@@ -24,14 +24,14 @@ func TestPlanRepairBounds(t *testing.T) {
 	if _, err := arr.PlanRepair(-1); err == nil {
 		t.Fatal("negative usedCols should fail")
 	}
-	if _, err := arr.PlanRepair(arr.Cols() + 1); err == nil {
+	if _, err := arr.PlanRepair(arr.cfg.Cols + 1); err == nil {
 		t.Fatal("oversized usedCols should fail")
 	}
 }
 
 func TestRepairRetiresWorstColumns(t *testing.T) {
 	arr := faultyArray(t, 0.15)
-	used := arr.Cols() - 8 // 8 spares
+	used := arr.cfg.Cols - 8 // 8 spares
 	plan, err := arr.PlanRepair(used)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRepairRetiresWorstColumns(t *testing.T) {
 
 func TestColumnMapSkipsRetired(t *testing.T) {
 	arr := faultyArray(t, 0.2)
-	used := arr.Cols() - 4
+	used := arr.cfg.Cols - 4
 	plan, err := arr.PlanRepair(used)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestColumnMapSkipsRetired(t *testing.T) {
 func TestColumnMapErrsWhenOverRetired(t *testing.T) {
 	arr := faultyArray(t, 0.1)
 	plan := RepairPlan{Remapped: []int{0, 1, 2, 3}}
-	if _, err := arr.ColumnMap(arr.Cols(), plan); err == nil {
+	if _, err := arr.ColumnMap(arr.cfg.Cols, plan); err == nil {
 		t.Fatal("expected error: all columns used but 4 retired")
 	}
 }
@@ -98,7 +98,7 @@ func TestColumnMapErrsWhenOverRetired(t *testing.T) {
 func TestRepairNoFaultsNoop(t *testing.T) {
 	cfg := smallConfig(device.EPCM, true, 0)
 	arr, _ := NewArray(cfg)
-	plan, err := arr.PlanRepair(arr.Cols() - 4)
+	plan, err := arr.PlanRepair(arr.cfg.Cols - 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRepairNoFaultsNoop(t *testing.T) {
 func TestPlanRepairResidualWorstWhenSparesRunOut(t *testing.T) {
 	arr := faultyArray(t, 0.3)
 	// One spare: every defective column but the worst stays in service.
-	used := arr.Cols() - 1
+	used := arr.cfg.Cols - 1
 	plan, err := arr.PlanRepair(used)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestPlanRepairZeroUsedCols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Spares != arr.Cols() {
-		t.Fatalf("spares = %d, want %d", plan.Spares, arr.Cols())
+	if plan.Spares != arr.cfg.Cols {
+		t.Fatalf("spares = %d, want %d", plan.Spares, arr.cfg.Cols)
 	}
 	if plan.ResidualWorst != 0 {
 		t.Fatalf("with every column spare nothing should remain: %+v", plan)
@@ -160,7 +160,7 @@ func TestPlanRepairZeroUsedCols(t *testing.T) {
 func TestRepairEffectivenessPropagatesMapError(t *testing.T) {
 	arr := faultyArray(t, 0.1)
 	bad := RepairPlan{Remapped: []int{0, 1, 2, 3}}
-	if _, _, err := arr.RepairEffectiveness(arr.Cols(), bad); err == nil {
+	if _, _, err := arr.RepairEffectiveness(arr.cfg.Cols, bad); err == nil {
 		t.Fatal("over-retired plan must error through RepairEffectiveness")
 	}
 }

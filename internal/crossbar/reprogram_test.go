@@ -35,7 +35,7 @@ func TestReprogramIdempotentPlanes(t *testing.T) {
 	want := int64(0)
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
-			if m.Get(r, c) {
+			if m.Row(r).Get(c) {
 				want++
 			}
 		}
@@ -100,16 +100,16 @@ func TestReprogramKeepsFaultsAndCountsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	eff := arr.EffectiveBits()
-	faults := arr.FaultCount()
+	faults := arr.faultCount
 	before := arr.Stats().CellWrites
 	arr.Reprogram()
-	if got := arr.FaultCount(); got != faults {
+	if got := arr.faultCount; got != faults {
 		t.Fatalf("fault count changed %d → %d across recalibration", faults, got)
 	}
 	after := arr.EffectiveBits()
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
-			if eff.Get(r, c) != after.Get(r, c) {
+			if eff.Row(r).Get(c) != after.Row(r).Get(c) {
 				t.Fatalf("effective bit (%d,%d) changed across recalibration", r, c)
 			}
 		}

@@ -79,60 +79,6 @@ func Digits(n int, seed int64) []Sample {
 	return out
 }
 
-// Textures generates n CIFAR-like 3×32×32 samples. Each class is a
-// parameterized procedural texture (oriented stripes with a
-// class-specific angle, frequency and palette) plus noise, giving ten
-// linearly-inseparable but learnable classes. Deterministic in seed.
-func Textures(n int, seed int64) []Sample {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Sample, n)
-	for i := range out {
-		label := rng.Intn(Classes)
-		x := tensor.NewFloat(3, 32, 32)
-		// Class-specific stripe direction and frequency.
-		fx := 0.15 + 0.08*float64(label%5)
-		fy := 0.10 + 0.07*float64(label/5)
-		phase := rng.Float64() * 6.28318
-		// Class palette: channel mixture weights.
-		pr := 0.3 + 0.07*float64(label)
-		pg := 1.0 - pr
-		pb := 0.5 + 0.05*float64(label%3)
-		for r := 0; r < 32; r++ {
-			for c := 0; c < 32; c++ {
-				s := stripe(fx*float64(c) + fy*float64(r) + phase) // in [0,1]
-				noise := func() float64 { return (rng.Float64() - 0.5) * 0.15 }
-				x.Set(clamp01(pr*s+noise()), 0, r, c)
-				x.Set(clamp01(pg*s+noise()), 1, r, c)
-				x.Set(clamp01(pb*(1-s)+noise()), 2, r, c)
-			}
-		}
-		out[i] = Sample{X: x, Label: label}
-	}
-	return out
-}
-
-// stripe maps a phase to a triangle wave in [0,1].
-func stripe(t float64) float64 {
-	t = t - float64(int(t))
-	if t < 0 {
-		t++
-	}
-	if t < 0.5 {
-		return 2 * t
-	}
-	return 2 * (1 - t)
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
 // Flatten converts samples to flat feature vectors plus labels, the
 // format the MLP trainer consumes.
 func Flatten(samples []Sample) ([][]float64, []int) {

@@ -74,36 +74,6 @@ func TestDigitsClassesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestTexturesShape(t *testing.T) {
-	samples := Textures(30, 5)
-	for _, s := range samples {
-		sh := s.X.Shape()
-		if len(sh) != 3 || sh[0] != 3 || sh[1] != 32 || sh[2] != 32 {
-			t.Fatalf("texture shape = %v", sh)
-		}
-		for _, v := range s.X.Data() {
-			if v < 0 || v > 1 {
-				t.Fatalf("texture value %g outside [0,1]", v)
-			}
-		}
-	}
-}
-
-func TestTexturesDeterministic(t *testing.T) {
-	a := Textures(10, 11)
-	b := Textures(10, 11)
-	for i := range a {
-		if a[i].Label != b[i].Label {
-			t.Fatal("labels not deterministic")
-		}
-		for j := range a[i].X.Data() {
-			if a[i].X.Data()[j] != b[i].X.Data()[j] {
-				t.Fatal("pixels not deterministic")
-			}
-		}
-	}
-}
-
 func TestFlatten(t *testing.T) {
 	samples := Digits(5, 1)
 	xs, ys := Flatten(samples)

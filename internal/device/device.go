@@ -112,9 +112,6 @@ func (p EPCMParams) Validate() error {
 	return nil
 }
 
-// OnOffRatio returns GOn/GOff, the read window of the binary cell.
-func (p EPCMParams) OnOffRatio() float64 { return p.GOn / p.GOff }
-
 // ProgramConductance returns one as-programmed conductance draw for the
 // given binary state: the nominal level (SET → GOn, RESET → GOff) with
 // lognormal multiplicative spread when rng is non-nil. The RESET spread
@@ -146,12 +143,12 @@ func (p EPCMParams) DriftFactor(ageSeconds float64) float64 {
 	return math.Pow(ageSeconds/p.DriftT0Seconds, -p.DriftNu)
 }
 
-// ReadConductance applies one per-read noise draw to the instantaneous
+// readConductance applies one per-read noise draw to the instantaneous
 // (already drifted) conductance g: a Gaussian multiplier of relative
 // sigma ReadNoiseSigma, clamped at zero. With a nil rng it returns g
 // unchanged. One rng draw iff rng ≠ nil and ReadNoiseSigma > 0 — the
 // contract the crossbar hot loops inline.
-func (p EPCMParams) ReadConductance(g float64, rng *rand.Rand) float64 {
+func (p EPCMParams) readConductance(g float64, rng *rand.Rand) float64 {
 	if rng != nil && p.ReadNoiseSigma > 0 {
 		g *= 1 + rng.NormFloat64()*p.ReadNoiseSigma
 		if g < 0 {
@@ -181,9 +178,6 @@ func NewEPCMCell(p EPCMParams, state bool, rng *rand.Rand) *EPCMCell {
 	return &EPCMCell{params: p, state: state, g0: p.ProgramConductance(state, rng)}
 }
 
-// State reports the programmed logical state.
-func (c *EPCMCell) State() bool { return c.state }
-
 // Age advances the cell's post-programming age (drift accumulation).
 func (c *EPCMCell) Age(seconds float64) {
 	if seconds < 0 {
@@ -200,7 +194,7 @@ func (c *EPCMCell) Conductance(rng *rand.Rand) float64 {
 	if !c.state {
 		g *= c.params.DriftFactor(c.ageSeconds)
 	}
-	return c.params.ReadConductance(g, rng)
+	return c.params.readConductance(g, rng)
 }
 
 // ReadCurrent returns the read current in amperes for the configured

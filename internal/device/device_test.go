@@ -41,9 +41,6 @@ func TestEPCMCellNominalStates(t *testing.T) {
 	if got := off.Conductance(nil); got != p.GOff {
 		t.Fatalf("RESET conductance = %g, want %g", got, p.GOff)
 	}
-	if !on.State() || off.State() {
-		t.Fatal("State() wrong")
-	}
 }
 
 func TestEPCMOnOffSeparationUnderVariability(t *testing.T) {

@@ -56,8 +56,8 @@ func (p MLCParams) Validate() error {
 	return nil
 }
 
-// LevelValue returns the nominal analog value of level l ∈ [0, Levels).
-func (p MLCParams) LevelValue(l int) float64 {
+// levelValue returns the nominal analog value of level l ∈ [0, Levels).
+func (p MLCParams) levelValue(l int) float64 {
 	if l < 0 || l >= p.Levels {
 		panic(fmt.Sprintf("device: level %d outside [0,%d)", l, p.Levels))
 	}
@@ -81,8 +81,8 @@ func (p MLCParams) BitsPerCell() int {
 	return bits
 }
 
-// LevelGap returns the spacing between adjacent nominal levels.
-func (p MLCParams) LevelGap() float64 {
+// levelGap returns the spacing between adjacent nominal levels.
+func (p MLCParams) levelGap() float64 {
 	return (p.High - p.Low) / float64(p.Levels-1)
 }
 
@@ -93,21 +93,18 @@ type MLCCell struct {
 	v0     float64
 }
 
-// NewMLCCell programs a cell to the given level; rng (may be nil)
+// newMLCCell programs a cell to the given level; rng (may be nil)
 // supplies programming variability.
-func NewMLCCell(p MLCParams, level int, rng *rand.Rand) *MLCCell {
-	c := &MLCCell{params: p, level: level, v0: p.LevelValue(level)}
+func newMLCCell(p MLCParams, level int, rng *rand.Rand) *MLCCell {
+	c := &MLCCell{params: p, level: level, v0: p.levelValue(level)}
 	if rng != nil && p.ProgramSigma > 0 {
 		c.v0 *= math.Exp(rng.NormFloat64()*p.ProgramSigma - 0.5*p.ProgramSigma*p.ProgramSigma)
 	}
 	return c
 }
 
-// Level returns the programmed level.
-func (c *MLCCell) Level() int { return c.level }
-
-// Read returns the instantaneous analog value with per-read noise.
-func (c *MLCCell) Read(rng *rand.Rand) float64 {
+// read returns the instantaneous analog value with per-read noise.
+func (c *MLCCell) read(rng *rand.Rand) float64 {
 	v := c.v0
 	if rng != nil && c.params.ReadNoiseSigma > 0 {
 		v *= 1 + rng.NormFloat64()*c.params.ReadNoiseSigma
@@ -115,9 +112,9 @@ func (c *MLCCell) Read(rng *rand.Rand) float64 {
 	return v
 }
 
-// Decode maps an analog value back to the nearest level.
-func (p MLCParams) Decode(v float64) int {
-	step := p.LevelGap()
+// decode maps an analog value back to the nearest level.
+func (p MLCParams) decode(v float64) int {
+	step := p.levelGap()
 	l := int(math.Round((v - p.Low) / step))
 	if l < 0 {
 		l = 0
@@ -139,10 +136,10 @@ func (p MLCParams) AnalyticErrorRate() float64 {
 	if rel == 0 {
 		return 0
 	}
-	half := p.LevelGap() / 2
+	half := p.levelGap() / 2
 	total := 0.0
 	for l := 0; l < p.Levels; l++ {
-		sigma := p.LevelValue(l) * rel
+		sigma := p.levelValue(l) * rel
 		if sigma == 0 {
 			continue
 		}
@@ -163,8 +160,8 @@ func (p MLCParams) MonteCarloErrorRate(trials int, seed int64) float64 {
 	errs := 0
 	for i := 0; i < trials; i++ {
 		l := rng.Intn(p.Levels)
-		cell := NewMLCCell(p, l, rng)
-		if p.Decode(cell.Read(rng)) != l {
+		cell := newMLCCell(p, l, rng)
+		if p.decode(cell.read(rng)) != l {
 			errs++
 		}
 	}

@@ -25,12 +25,12 @@ func TestMLCParamsValidate(t *testing.T) {
 
 func TestLevelValuesUniform(t *testing.T) {
 	p := DefaultMLCParams(4)
-	if p.LevelValue(0) != p.Low || p.LevelValue(3) != p.High {
+	if p.levelValue(0) != p.Low || p.levelValue(3) != p.High {
 		t.Fatal("endpoints wrong")
 	}
-	gap := p.LevelGap()
+	gap := p.levelGap()
 	for l := 1; l < 4; l++ {
-		if math.Abs(p.LevelValue(l)-p.LevelValue(l-1)-gap) > 1e-12 {
+		if math.Abs(p.levelValue(l)-p.levelValue(l-1)-gap) > 1e-12 {
 			t.Fatal("levels not uniform")
 		}
 	}
@@ -42,15 +42,15 @@ func TestLevelValuePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DefaultMLCParams(4).LevelValue(4)
+	DefaultMLCParams(4).levelValue(4)
 }
 
 func TestDecodeNominalExact(t *testing.T) {
 	for _, levels := range []int{2, 4, 8, 16} {
 		p := DefaultMLCParams(levels)
 		for l := 0; l < levels; l++ {
-			cell := NewMLCCell(p, l, nil)
-			if got := p.Decode(cell.Read(nil)); got != l {
+			cell := newMLCCell(p, l, nil)
+			if got := p.decode(cell.read(nil)); got != l {
 				t.Fatalf("L=%d level %d decoded as %d", levels, l, got)
 			}
 		}
@@ -59,7 +59,7 @@ func TestDecodeNominalExact(t *testing.T) {
 
 func TestDecodeClamps(t *testing.T) {
 	p := DefaultMLCParams(4)
-	if p.Decode(-10) != 0 || p.Decode(10) != 3 {
+	if p.decode(-10) != 0 || p.decode(10) != 3 {
 		t.Fatal("decode must clamp to valid levels")
 	}
 }
@@ -130,8 +130,8 @@ func TestNoiselessDecodeProperty(t *testing.T) {
 		levels := 2 + int(rawLevels)%31
 		l := int(rawL) % levels
 		p := DefaultMLCParams(levels)
-		cell := NewMLCCell(p, l, nil)
-		return p.Decode(cell.Read(nil)) == l && cell.Level() == l
+		cell := newMLCCell(p, l, nil)
+		return p.decode(cell.read(nil)) == l
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

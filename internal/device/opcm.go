@@ -110,23 +110,13 @@ func (p OPCMParams) ProgramTransmittance(state bool, rng *rand.Rand) float64 {
 	return clamp01(mean)
 }
 
-// ReadTransmittance applies one per-read laser-RIN draw to the
-// as-programmed transmittance t0, clamped to [0,1]. One rng draw iff
-// rng ≠ nil and RelIntensityNoise > 0.
-func (p OPCMParams) ReadTransmittance(t0 float64, rng *rand.Rand) float64 {
-	if rng != nil && p.RelIntensityNoise > 0 {
-		t0 *= 1 + rng.NormFloat64()*p.RelIntensityNoise
-	}
-	return clamp01(t0)
-}
-
 // PhotocurrentFrom returns the photodetector current (A) of a cell with
 // as-programmed transmittance t0 when probed at the configured
 // per-wavelength power: RIN on the transmittance, then a √signal shot
 // noise term at the detector (two rng draws per read when both noise
 // terms are enabled — the order the crossbar hot loops preserve).
 func (p *OPCMParams) PhotocurrentFrom(t0 float64, rng *rand.Rand) float64 {
-	i := p.InputPowerMW * 1e-3 * p.ReadTransmittance(t0, rng) * p.Responsivity
+	i := p.InputPowerMW * 1e-3 * p.readTransmittance(t0, rng) * p.Responsivity
 	if rng != nil && p.ShotNoiseFactor > 0 {
 		// Shot noise grows with √signal; expressed relative to the
 		// single-cell full-scale signal for simplicity.
@@ -134,6 +124,16 @@ func (p *OPCMParams) PhotocurrentFrom(t0 float64, rng *rand.Rand) float64 {
 		i += rng.NormFloat64() * p.ShotNoiseFactor * math.Sqrt(math.Max(i, 0)*full)
 	}
 	return i
+}
+
+// readTransmittance applies one per-read laser-RIN draw to the
+// as-programmed transmittance t0, clamped to [0,1]. One rng draw iff
+// rng ≠ nil and RelIntensityNoise > 0.
+func (p OPCMParams) readTransmittance(t0 float64, rng *rand.Rand) float64 {
+	if rng != nil && p.RelIntensityNoise > 0 {
+		t0 *= 1 + rng.NormFloat64()*p.RelIntensityNoise
+	}
+	return clamp01(t0)
 }
 
 // OPCMCell is one programmed optical PCM patch — a thin wrapper over
@@ -151,15 +151,12 @@ func NewOPCMCell(p OPCMParams, state bool, rng *rand.Rand) *OPCMCell {
 	return &OPCMCell{params: p, state: state, t0: p.ProgramTransmittance(state, rng)}
 }
 
-// State reports the programmed logical state.
-func (c *OPCMCell) State() bool { return c.state }
-
 // Transmittance returns the instantaneous optical transmittance of the
 // cell including, if rng is non-nil, per-read laser RIN.
 // oPCM has no drift term: the crystalline fraction is stable, one of the
 // paper's §II-C arguments for photonic CIM.
 func (c *OPCMCell) Transmittance(rng *rand.Rand) float64 {
-	return c.params.ReadTransmittance(c.t0, rng)
+	return c.params.readTransmittance(c.t0, rng)
 }
 
 // Photocurrent returns the photodetector current (A) contributed by the

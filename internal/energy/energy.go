@@ -174,12 +174,8 @@ func (c CostParams) VMMStepONs(adcRounds int) float64 {
 // WDM capacity k driving `rows` modulated rows (laser + modulators +
 // tuning). Only the rows a layer actually drives are modulated.
 func (c CostParams) TransmitterPowerMW(k, rows int) float64 {
-	tx := photonics.TransmitterConfig{
-		Capacity: k, RowCount: rows,
-		LaserPowerMW:   c.LaserPowerMW,
-		CombEfficiency: 0.3, VOAExtinctionDB: 25,
-		MuxInsertionLossDB: 1.5, ChannelIsolationDB: -30,
-	}
+	tx := photonics.DefaultTransmitterConfig(k, rows)
+	tx.LaserPowerMW = c.LaserPowerMW
 	return tx.TransmitterPowerMW()
 }
 

@@ -33,10 +33,10 @@ func (c *ReprogramCost) Add(o ReprogramCost) {
 	c.LatencyNs += o.LatencyNs
 }
 
-// ReprogramEPCM prices an ePCM recalibration: setWrites SET pulses and
+// reprogramEPCM prices an ePCM recalibration: setWrites SET pulses and
 // resetWrites RESET pulses over a rows-tall array (rows ≤ 0 is treated
 // as 1, i.e. fully serial programming).
-func ReprogramEPCM(setWrites, resetWrites int64, rows int, p device.EPCMParams) ReprogramCost {
+func reprogramEPCM(setWrites, resetWrites int64, rows int, p device.EPCMParams) ReprogramCost {
 	if rows <= 0 {
 		rows = 1
 	}
@@ -49,9 +49,9 @@ func ReprogramEPCM(setWrites, resetWrites int64, rows int, p device.EPCMParams) 
 	return c
 }
 
-// ReprogramOPCM prices an oPCM recalibration: every cell write is one
+// reprogramOPCM prices an oPCM recalibration: every cell write is one
 // phase transition regardless of direction.
-func ReprogramOPCM(setWrites, resetWrites int64, rows int, p device.OPCMParams) ReprogramCost {
+func reprogramOPCM(setWrites, resetWrites int64, rows int, p device.OPCMParams) ReprogramCost {
 	if rows <= 0 {
 		rows = 1
 	}
@@ -68,7 +68,7 @@ func ReprogramOPCM(setWrites, resetWrites int64, rows int, p device.OPCMParams) 
 func ReprogramForTech(tech device.Technology, setWrites, resetWrites int64, rows int,
 	epcm device.EPCMParams, opcm device.OPCMParams) ReprogramCost {
 	if tech == device.OPCM {
-		return ReprogramOPCM(setWrites, resetWrites, rows, opcm)
+		return reprogramOPCM(setWrites, resetWrites, rows, opcm)
 	}
-	return ReprogramEPCM(setWrites, resetWrites, rows, epcm)
+	return reprogramEPCM(setWrites, resetWrites, rows, epcm)
 }

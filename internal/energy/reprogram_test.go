@@ -8,7 +8,7 @@ import (
 
 func TestReprogramEPCMPricing(t *testing.T) {
 	p := device.DefaultEPCMParams()
-	c := ReprogramEPCM(100, 50, 10, p)
+	c := reprogramEPCM(100, 50, 10, p)
 	wantE := 100*p.SetEnergyPJ + 50*p.ResetEnergyPJ
 	if c.EnergyPJ != wantE {
 		t.Fatalf("energy %g want %g", c.EnergyPJ, wantE)
@@ -22,7 +22,7 @@ func TestReprogramEPCMPricing(t *testing.T) {
 		t.Fatalf("total writes %d want 150", c.TotalWrites())
 	}
 	// rows ≤ 0 degrades to fully serial programming.
-	serial := ReprogramEPCM(3, 2, 0, p)
+	serial := reprogramEPCM(3, 2, 0, p)
 	if serial.LatencyNs != 3*p.SetLatencyNs+2*p.ResetLatencyNs {
 		t.Fatalf("serial latency %g", serial.LatencyNs)
 	}
@@ -30,7 +30,7 @@ func TestReprogramEPCMPricing(t *testing.T) {
 
 func TestReprogramOPCMPricing(t *testing.T) {
 	p := device.DefaultOPCMParams()
-	c := ReprogramOPCM(7, 3, 4, p)
+	c := reprogramOPCM(7, 3, 4, p)
 	if c.EnergyPJ != 10*p.WriteEnergyPJ {
 		t.Fatalf("energy %g want %g", c.EnergyPJ, 10*p.WriteEnergyPJ)
 	}

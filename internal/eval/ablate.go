@@ -24,7 +24,7 @@ type AblationPoint struct {
 }
 
 func pointFrom(label string, rep *Report) AblationPoint {
-	s := rep.Summarize()
+	s := rep.summarize()
 	return AblationPoint{
 		Label:            label,
 		MeanTacitSpeedup: s.MeanTacitSpeedup,

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"sort"
@@ -65,6 +66,30 @@ type SearchSpec struct {
 	Trace *trace.Recorder
 }
 
+// SearchFlags registers the search placer's -search-steps, -search-seed
+// and -search-batch flags on fs, filling s. batch names what
+// -search-batch 0 falls back to in the command at hand.
+func SearchFlags(fs *flag.FlagSet, s *SearchSpec, batch string) {
+	fs.IntVar(&s.Steps, "search-steps", compiler.DefaultSearchSteps, "candidate-evaluation budget of the search placer")
+	fs.Int64Var(&s.Seed, "search-seed", 1, "search placer RNG seed")
+	fs.IntVar(&s.Batch, "search-batch", 0, "batch size of the search objective (0 = "+batch+")")
+}
+
+// ArchFlags registers the -k and -cols-per-adc architecture overrides
+// on fs. The returned func applies the ones set (> 0) to a config.
+func ArchFlags(fs *flag.FlagSet) func(*arch.Config) {
+	k := fs.Int("k", 0, "override WDM capacity (default: architecture default 16)")
+	colsPerADC := fs.Int("cols-per-adc", 0, "override ADC sharing factor")
+	return func(c *arch.Config) {
+		if *k > 0 {
+			c.WDMCapacity = *k
+		}
+		if *colsPerADC > 0 {
+			c.ColumnsPerADC = *colsPerADC
+		}
+	}
+}
+
 // designs returns the evaluated design set.
 func (c Config) designs() []arch.Design {
 	if len(c.Designs) == 0 {
@@ -96,17 +121,17 @@ type NetworkResult struct {
 	Results map[arch.Design]*sim.Result
 }
 
-// Fig7Speedups returns the Fig. 7 series for this network: latency
+// fig7Speedups returns the Fig. 7 series for this network: latency
 // improvements over Baseline-ePCM (higher is better).
-func (n NetworkResult) Fig7Speedups() (tacit, eb, gpuRel float64) {
+func (n NetworkResult) fig7Speedups() (tacit, eb, gpuRel float64) {
 	return n.LatBaseline / n.LatTacit,
 		n.LatBaseline / n.LatEB,
 		n.LatBaseline / n.LatGPU
 }
 
-// Fig8Normalized returns the Fig. 8 series: energy normalized to
+// fig8Normalized returns the Fig. 8 series: energy normalized to
 // Baseline-ePCM (lower is better).
-func (n NetworkResult) Fig8Normalized() (tacit, eb float64) {
+func (n NetworkResult) fig8Normalized() (tacit, eb float64) {
 	return n.EnergyTacit / n.EnergyBaseline, n.EnergyEB / n.EnergyBaseline
 }
 
@@ -215,24 +240,24 @@ type Summary struct {
 	BaselineVsGPUBest, BaselineVsGPUWorst float64
 }
 
-// Summarize computes the aggregates. Means are arithmetic over the six
+// summarize computes the aggregates. Means are arithmetic over the six
 // networks, matching the paper's "on average" phrasing; geometric means
 // are also reported by the String method for completeness.
-func (r *Report) Summarize() Summary {
+func (r *Report) summarize() Summary {
 	var s Summary
 	s.MinEBSpeedup = math.Inf(1)
 	s.BaselineVsGPUBest = math.Inf(-1)
 	s.BaselineVsGPUWorst = math.Inf(1)
 	var tacitSum, ebSum, ratioSum, tEnergySum, ebEnergyGainSum, ebOverTacitESum float64
 	for _, n := range r.Networks {
-		tacit, eb, _ := n.Fig7Speedups()
+		tacit, eb, _ := n.fig7Speedups()
 		tacitSum += tacit
 		ebSum += eb
 		ratioSum += n.LatTacit / n.LatEB
 		s.MaxTacitSpeedup = math.Max(s.MaxTacitSpeedup, tacit)
 		s.MinEBSpeedup = math.Min(s.MinEBSpeedup, eb)
 		s.MaxEBSpeedup = math.Max(s.MaxEBSpeedup, eb)
-		tn, en := n.Fig8Normalized()
+		tn, en := n.fig8Normalized()
 		tEnergySum += tn
 		ebEnergyGainSum += 1 / en
 		ebOverTacitESum += tn / en
@@ -262,16 +287,16 @@ func (r *Report) Fig7() *report.Table {
 		Footer: []string{"* >1 means Baseline-ePCM beats the GPU on that network."},
 	}
 	for _, n := range r.Networks {
-		tacit, eb, _ := n.Fig7Speedups()
+		tacit, eb, _ := n.fig7Speedups()
 		t.Add(n.Network, tacit, eb, n.LatGPU/n.LatBaseline)
 	}
-	s := r.Summarize()
+	s := r.summarize()
 	t.Add("MEAN", s.MeanTacitSpeedup, s.MeanEBSpeedup)
 	t.Add("GMEAN", r.geomean(func(n NetworkResult) float64 {
-		tacit, _, _ := n.Fig7Speedups()
+		tacit, _, _ := n.fig7Speedups()
 		return tacit
 	}), r.geomean(func(n NetworkResult) float64 {
-		_, eb, _ := n.Fig7Speedups()
+		_, eb, _ := n.fig7Speedups()
 		return eb
 	}))
 	return t
@@ -284,17 +309,17 @@ func (r *Report) Fig8() *report.Table {
 		Cols:  []report.Col{{Head: "Network"}, {Head: "TacitMap-ePCM", Fmt: "%.2fx"}, {Head: "EinsteinBarrier", Fmt: "%.2fx"}},
 	}
 	for _, n := range r.Networks {
-		tn, en := n.Fig8Normalized()
+		tn, en := n.fig8Normalized()
 		t.Add(n.Network, tn, en)
 	}
-	s := r.Summarize()
+	s := r.summarize()
 	t.Add("MEAN", s.MeanTacitEnergyX, 1/s.MeanEBEnergyGain)
 	return t
 }
 
 // Observations is the §VI callouts next to the paper's values.
 func (r *Report) Observations() *report.Table {
-	s := r.Summarize()
+	s := r.summarize()
 	t := &report.Table{Cols: []report.Col{{Head: "Observation (§VI)"}, {Head: "measured", Fmt: "%.2fx"}, {Head: "paper"}}}
 	t.Add("TacitMap mean latency speedup", s.MeanTacitSpeedup, "~78x")
 	t.Add("TacitMap max latency speedup", s.MaxTacitSpeedup, "~154x")

@@ -55,7 +55,7 @@ func TestRunCoversZoo(t *testing.T) {
 // observation bands (direction exact, magnitude within a rough factor —
 // our substrate is a parameterized simulator, not the authors' testbed).
 func TestFig7Bands(t *testing.T) {
-	s := runReport(t).Summarize()
+	s := runReport(t).summarize()
 	checks := []struct {
 		name   string
 		got    float64
@@ -77,7 +77,7 @@ func TestFig7Bands(t *testing.T) {
 
 // TestFig8Bands pins the Fig. 8 / §VI-B energy observations.
 func TestFig8Bands(t *testing.T) {
-	s := runReport(t).Summarize()
+	s := runReport(t).summarize()
 	if s.MeanTacitEnergyX < 2.5 || s.MeanTacitEnergyX > 11 {
 		t.Errorf("TacitMap energy increase (paper ~5.35x): got %.2f", s.MeanTacitEnergyX)
 	}
@@ -93,7 +93,7 @@ func TestFig8Bands(t *testing.T) {
 // GPU on the first CNN but loses on MLPs (≈27× on MLP-L).
 func TestGPUCrossover(t *testing.T) {
 	rep := runReport(t)
-	s := rep.Summarize()
+	s := rep.summarize()
 	if s.BaselineVsGPUBest < 1.5 {
 		t.Errorf("baseline should beat the GPU somewhere by ≥1.5x (paper ~4x), best %.2f", s.BaselineVsGPUBest)
 	}
@@ -117,14 +117,14 @@ func TestGPUCrossover(t *testing.T) {
 // paper's ordering.
 func TestPerNetworkDirections(t *testing.T) {
 	for _, n := range runReport(t).Networks {
-		tacit, eb, _ := n.Fig7Speedups()
+		tacit, eb, _ := n.fig7Speedups()
 		if tacit <= 1 {
 			t.Errorf("%s: TacitMap speedup %.2f must exceed 1", n.Network, tacit)
 		}
 		if eb <= tacit {
 			t.Errorf("%s: EB speedup %.2f must exceed TacitMap %.2f", n.Network, eb, tacit)
 		}
-		tn, en := n.Fig8Normalized()
+		tn, en := n.fig8Normalized()
 		if tn <= 1 {
 			t.Errorf("%s: TacitMap normalized energy %.2f must exceed 1", n.Network, tn)
 		}

@@ -37,8 +37,8 @@ type jsonNetworkRow struct {
 func (r *Report) series() []jsonNetworkRow {
 	var out []jsonNetworkRow
 	for _, n := range r.SortedByName() {
-		tacit, eb, _ := n.Fig7Speedups()
-		tn, en := n.Fig8Normalized()
+		tacit, eb, _ := n.fig7Speedups()
+		tn, en := n.fig8Normalized()
 		out = append(out, jsonNetworkRow{
 			n.Network, tacit, eb, n.LatGPU / n.LatBaseline, tn, en,
 			n.LatBaseline, n.LatTacit, n.LatEB, n.LatGPU,
@@ -71,5 +71,5 @@ func (r *Report) WriteCSV(w io.Writer) error {
 
 // WriteJSON emits the summary and per-network rows as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
-	return report.JSON(w, jsonReport{Summary: r.Summarize(), Networks: r.series()})
+	return report.JSON(w, jsonReport{Summary: r.summarize(), Networks: r.series()})
 }

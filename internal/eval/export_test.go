@@ -51,7 +51,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &jr); err != nil {
 		t.Fatal(err)
 	}
-	got, want := jr.Summary, rep.Summarize()
+	got, want := jr.Summary, rep.summarize()
 	if math.Abs(got.MeanTacitSpeedup-want.MeanTacitSpeedup) > 1e-9 ||
 		math.Abs(got.MeanEBEnergyGain-want.MeanEBEnergyGain) > 1e-9 {
 		t.Fatal("summary round trip diverged")

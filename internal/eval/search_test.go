@@ -63,7 +63,7 @@ func TestSearchPlacementGolden(t *testing.T) {
 	// A second sweep against the warm cache is all hits by determinism —
 	// the repeated-search pattern the benchmark relies on — which lifts
 	// the overall rate past the pinned floor.
-	l0, h0 := pe.Stats()
+	c0 := pe.Counters()
 	for _, name := range bnn.ZooNames {
 		m, err := bnn.NewModel(name, 1)
 		if err != nil {
@@ -77,9 +77,9 @@ func TestSearchPlacementGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l1, h1 := pe.Stats()
-	if h1-h0 != l1-l0 {
-		t.Fatalf("warm second sweep missed: %d lookups, %d hits", l1-l0, h1-h0)
+	c1 := pe.Counters()
+	if c1.Hits-c0.Hits != c1.Lookups-c0.Lookups {
+		t.Fatalf("warm second sweep missed: %d lookups, %d hits", c1.Lookups-c0.Lookups, c1.Hits-c0.Hits)
 	}
 	if rate := pe.HitRate(); rate < 0.5 {
 		t.Fatalf("cache hit rate %.2f below the 50%% floor", rate)

@@ -66,8 +66,8 @@ func (m Model) overhead(c bnn.LayerCost) float64 {
 	return m.DenseOverheadNs
 }
 
-// LayerLatencyNs prices one layer.
-func (m Model) LayerLatencyNs(c bnn.LayerCost) float64 {
+// layerLatencyNs prices one layer.
+func (m Model) layerLatencyNs(c bnn.LayerCost) float64 {
 	switch c.Kind {
 	case "binary":
 		ops := float64(c.Work.Ops())
@@ -88,7 +88,7 @@ func (m Model) LayerLatencyNs(c bnn.LayerCost) float64 {
 func (m Model) InferenceLatencyNs(model *bnn.Model) float64 {
 	var total float64
 	for _, c := range model.Costs() {
-		total += m.LayerLatencyNs(c)
+		total += m.layerLatencyNs(c)
 	}
 	return total
 }

@@ -36,7 +36,7 @@ func TestLayerLatencyKinds(t *testing.T) {
 		Work:            bnn.Workload{N: 1024, M: 1024, Positions: 1},
 		ActivationBytes: 128,
 	}
-	if lat := g.LayerLatencyNs(binDense); lat < g.DenseOverheadNs {
+	if lat := g.layerLatencyNs(binDense); lat < g.DenseOverheadNs {
 		t.Fatalf("dense binary latency %g below overhead", lat)
 	}
 	conv := bnn.LayerCost{
@@ -44,11 +44,11 @@ func TestLayerLatencyKinds(t *testing.T) {
 		Work:            bnn.Workload{N: 64, M: 576, Positions: 1024},
 		ActivationBytes: 8192,
 	}
-	if lat := g.LayerLatencyNs(conv); lat < g.ConvOverheadNs {
+	if lat := g.layerLatencyNs(conv); lat < g.ConvOverheadNs {
 		t.Fatalf("conv latency %g below conv overhead", lat)
 	}
 	shape := bnn.LayerCost{Kind: "shape"}
-	if g.LayerLatencyNs(shape) != 0 {
+	if g.layerLatencyNs(shape) != 0 {
 		t.Fatal("shape layers must fuse for free")
 	}
 }
@@ -63,7 +63,7 @@ func TestMemoryBoundDenseFP(t *testing.T) {
 	}
 	weightBytes := 3072.0 * 784 * 4
 	want := g.DenseOverheadNs + weightBytes/g.BytesPerNs
-	got := g.LayerLatencyNs(fp)
+	got := g.layerLatencyNs(fp)
 	if got < want*0.99 || got > want*1.01 {
 		t.Fatalf("fp dense latency = %g, want ≈ %g", got, want)
 	}
@@ -77,7 +77,7 @@ func TestInferenceLatencyAggregates(t *testing.T) {
 	}
 	var sum float64
 	for _, c := range m.Costs() {
-		sum += g.LayerLatencyNs(c)
+		sum += g.layerLatencyNs(c)
 	}
 	if got := g.InferenceLatencyNs(m); got != sum {
 		t.Fatalf("InferenceLatencyNs = %g, want %g", got, sum)

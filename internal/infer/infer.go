@@ -131,9 +131,6 @@ func New(m *bnn.Model, workers int) *Engine {
 	}
 }
 
-// WorkerCount returns the size of the pool.
-func (e *Engine) WorkerCount() int { return e.workers }
-
 // model returns worker w's clone, creating it on first use. Only
 // worker w touches index w during a batch, and batches are serialized,
 // so no further synchronization is needed.
@@ -144,8 +141,8 @@ func (e *Engine) model(w int) *bnn.Model {
 	return e.models[w]
 }
 
-// InputSize returns the element count of one model input.
-func (e *Engine) InputSize() int {
+// inputSize returns the element count of one model input.
+func (e *Engine) inputSize() int {
 	n := 1
 	for _, d := range e.proto.InputShape {
 		n *= d
@@ -161,7 +158,7 @@ func (e *Engine) InputSize() int {
 // a layer's forward pass.
 func (e *Engine) checkBatch(xs []*tensor.Float) error {
 	want := e.proto.InputShape
-	size := e.InputSize()
+	size := e.inputSize()
 	for i, x := range xs {
 		if x == nil {
 			return fmt.Errorf("infer: input %d is nil", i)

@@ -55,8 +55,8 @@ func (c Config) Validate() error {
 // Coord is a tile position in the mesh.
 type Coord struct{ X, Y int }
 
-// TileCoord maps a tile index to its mesh coordinate (row-major).
-func (c Config) TileCoord(tile int) (Coord, error) {
+// tileCoord maps a tile index to its mesh coordinate (row-major).
+func (c Config) tileCoord(tile int) (Coord, error) {
 	if tile < 0 || tile >= c.MeshWidth*c.MeshWidth {
 		return Coord{}, fmt.Errorf("noc: tile %d outside %d×%d mesh", tile, c.MeshWidth, c.MeshWidth)
 	}
@@ -65,11 +65,11 @@ func (c Config) TileCoord(tile int) (Coord, error) {
 
 // Hops returns the Manhattan (XY-routed) hop count between two tiles.
 func (c Config) Hops(a, b int) (int, error) {
-	ca, err := c.TileCoord(a)
+	ca, err := c.tileCoord(a)
 	if err != nil {
 		return 0, err
 	}
-	cb, err := c.TileCoord(b)
+	cb, err := c.tileCoord(b)
 	if err != nil {
 		return 0, err
 	}
@@ -106,11 +106,11 @@ type Link struct{ From, To int }
 // same deterministic routing the Hops metric assumes. An empty route
 // means source and destination share a tile.
 func (c Config) RouteXY(a, b int) ([]Link, error) {
-	ca, err := c.TileCoord(a)
+	ca, err := c.tileCoord(a)
 	if err != nil {
 		return nil, err
 	}
-	cb, err := c.TileCoord(b)
+	cb, err := c.tileCoord(b)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func TestValidateRejects(t *testing.T) {
 
 func TestTileCoordAndHops(t *testing.T) {
 	c := DefaultConfig(4)
-	co, err := c.TileCoord(5) // row-major: (1,1)
+	co, err := c.tileCoord(5) // row-major: (1,1)
 	if err != nil || co.X != 1 || co.Y != 1 {
 		t.Fatalf("coord = %+v, err %v", co, err)
 	}
@@ -39,7 +39,7 @@ func TestTileCoordAndHops(t *testing.T) {
 	if h, _ := c.Hops(7, 7); h != 0 {
 		t.Fatal("self distance must be 0")
 	}
-	if _, err := c.TileCoord(16); err == nil {
+	if _, err := c.tileCoord(16); err == nil {
 		t.Fatal("out-of-mesh tile should fail")
 	}
 	if _, err := c.Hops(-1, 0); err == nil {

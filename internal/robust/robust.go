@@ -235,15 +235,6 @@ func (h *HardwareModel) convOnHW(l *bnn.BinaryConv2D, x *tensor.Float) (*tensor.
 	return y, nil
 }
 
-// Stats aggregates crossbar event counters over all mapped layers.
-func (h *HardwareModel) Stats() crossbar.Stats {
-	var s crossbar.Stats
-	for _, tm := range h.mapped {
-		s.Add(tm.Stats())
-	}
-	return s
-}
-
 // Agreement is the outcome of a software-vs-hardware comparison.
 type Agreement struct {
 	// Samples evaluated.
@@ -262,8 +253,8 @@ func (a Agreement) MatchRate() float64 {
 	return float64(a.Matches) / float64(a.Samples)
 }
 
-// Compare runs software and hardware inference over the samples.
-func Compare(model *bnn.Model, hw *HardwareModel, samples []dataset.Sample) (Agreement, error) {
+// compare runs software and hardware inference over the samples.
+func compare(model *bnn.Model, hw *HardwareModel, samples []dataset.Sample) (Agreement, error) {
 	var a Agreement
 	swCorrect, hwCorrect := 0, 0
 	for _, s := range samples {
@@ -325,7 +316,7 @@ func sweep(model *bnn.Model, samples []dataset.Sample, base Config, n int,
 		if clones[w] == nil {
 			clones[w] = model.CloneShared()
 		}
-		a, err := Compare(clones[w], hw, samples)
+		a, err := compare(clones[w], hw, samples)
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -361,7 +352,7 @@ type RecalReport struct {
 	// SetWrites / ResetWrites are the per-cell write counts.
 	SetWrites, ResetWrites int64
 	// EnergyPJ and LatencyNs price the pass via the device write costs
-	// (energy.ReprogramEPCM / ReprogramOPCM; tiles serialized).
+	// (energy.ReprogramForTech; tiles serialized).
 	EnergyPJ, LatencyNs float64
 }
 

@@ -271,8 +271,8 @@ type SimSnapshot struct {
 	MeanEnergyPJ float64 `json:"mean_energy_pj"`
 }
 
-// Snapshot returns the current simulated-accelerator accounting.
-func (p *Pricer) Snapshot() SimSnapshot {
+// snapshot returns the current simulated-accelerator accounting.
+func (p *Pricer) snapshot() SimSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := SimSnapshot{

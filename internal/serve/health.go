@@ -53,9 +53,6 @@ func NewCanarySet(model *bnn.Model, inputs []*tensor.Float) (*CanarySet, error) 
 	return c, nil
 }
 
-// Len is the probe count.
-func (c *CanarySet) Len() int { return len(c.inputs) }
-
 // Evaluate plays the probe set through the replica and returns the
 // fraction of predictions matching the software labels.
 func (c *CanarySet) Evaluate(rep Replica) (float64, error) {

@@ -83,7 +83,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// on the reply channel is an execution failure inside the server
 	// (500) — the distinction keeps backend faults from being blamed on
 	// the client.
-	ch, id, err := s.SubmitTraced(tensor.FromSlice(req.Input, len(req.Input)))
+	ch, id, err := s.submitTraced(tensor.FromSlice(req.Input, len(req.Input)))
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "0")
@@ -135,7 +135,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = WriteMetrics(w, s.Stats())
+	_ = writeMetrics(w, s.Stats())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,34 +44,6 @@ type BatchClock struct {
 // Tick implements Clock.
 func (c BatchClock) Tick(n int) float64 {
 	return c.SecondsPerBatch + float64(n)*c.SecondsPerSample
-}
-
-// JitterClock wraps a base clock with seeded multiplicative jitter
-// (uniform in [1-j, 1+j]) — still fully deterministic for a given seed
-// and tick sequence, but no longer a pure function of sample count.
-type JitterClock struct {
-	base   Clock
-	jitter float64
-	rng    *rand.Rand
-}
-
-// NewJitterClock builds a seeded jittered clock. jitter must be in
-// [0, 1).
-func NewJitterClock(base Clock, jitter float64, seed int64) (*JitterClock, error) {
-	if base == nil {
-		return nil, fmt.Errorf("serve: jitter clock needs a base clock")
-	}
-	if jitter < 0 || jitter >= 1 {
-		return nil, fmt.Errorf("serve: jitter %g outside [0,1)", jitter)
-	}
-	return &JitterClock{base: base, jitter: jitter, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Tick implements Clock. Not safe for concurrent use — serialize via a
-// single worker or wrap externally.
-func (c *JitterClock) Tick(n int) float64 {
-	f := 1 + c.jitter*(2*c.rng.Float64()-1)
-	return c.base.Tick(n) * f
 }
 
 // LifetimeConfig switches the server into device-lifetime mode.

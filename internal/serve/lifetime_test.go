@@ -55,7 +55,7 @@ func runLifetimeScenario(t *testing.T, workers int, life *LifetimeConfig, reques
 	out := lifetimeOutcome{classes: make([]int, 0, requests)}
 	xs := testInputs(t, model, requests, 99)
 	for i, x := range xs {
-		res, err := s.Submit(x)
+		res, err := s.submit(x)
 		if err != nil {
 			t.Fatalf("request %d dropped/errored during lifetime scenario: %v", i, err)
 		}
@@ -278,7 +278,7 @@ func TestAllRetiredNoFallbackFailsLoudly(t *testing.T) {
 	xs := testInputs(t, model, 64, 99)
 	var failed error
 	for _, x := range xs {
-		if _, err := s.Submit(x); err != nil {
+		if _, err := s.submit(x); err != nil {
 			failed = err
 			break
 		}
@@ -367,7 +367,7 @@ func TestRetryAbsorbsTransientErrors(t *testing.T) {
 	}
 	s.Start()
 	for i, x := range testInputs(t, model, 8, 3) {
-		if _, err := s.Submit(x); err != nil {
+		if _, err := s.submit(x); err != nil {
 			t.Fatalf("request %d not absorbed by retry: %v", i, err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestRetryAbsorbsTransientErrors(t *testing.T) {
 	s2.Start()
 	sawErr := false
 	for _, x := range testInputs(t, model, 4, 3) {
-		if _, err := s2.Submit(x); err != nil {
+		if _, err := s2.submit(x); err != nil {
 			sawErr = true
 		}
 	}
@@ -414,33 +414,5 @@ func TestLifetimeRequiresAgingReplicas(t *testing.T) {
 		Clock: BatchClock{SecondsPerSample: 1}, Canary: canary}})
 	if err == nil {
 		t.Fatal("software backend accepted in lifetime mode")
-	}
-}
-
-// TestJitterClockDeterministic: same seed, same tick sequence.
-func TestJitterClockDeterministic(t *testing.T) {
-	mk := func() *JitterClock {
-		c, err := NewJitterClock(BatchClock{SecondsPerSample: 1}, 0.2, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 32; i++ {
-		ta, tb := a.Tick(i%5+1), b.Tick(i%5+1)
-		if ta != tb {
-			t.Fatalf("tick %d: %g != %g", i, ta, tb)
-		}
-		base := float64(i%5 + 1)
-		if ta < base*0.8 || ta > base*1.2 {
-			t.Fatalf("tick %d: %g outside ±20%% of %g", i, ta, base)
-		}
-	}
-	if _, err := NewJitterClock(nil, 0.1, 1); err == nil {
-		t.Fatal("nil base accepted")
-	}
-	if _, err := NewJitterClock(BatchClock{}, 1.5, 1); err == nil {
-		t.Fatal("jitter ≥ 1 accepted")
 	}
 }

@@ -131,7 +131,7 @@ func Run(s *Server, cfg LoadConfig) (LoadReport, error) {
 	s.Start()
 	var completed, shed, failed atomic.Int64
 	submit := func(i int) {
-		_, err := s.Submit(cfg.Inputs[i%len(cfg.Inputs)])
+		_, err := s.submit(cfg.Inputs[i%len(cfg.Inputs)])
 		switch {
 		case err == nil:
 			completed.Add(1)

@@ -129,9 +129,9 @@ func snapshotMetrics(s Snapshot, extra []string) []promMetric {
 	return out
 }
 
-// WriteMetrics renders one server's Snapshot in the Prometheus text
+// writeMetrics renders one server's Snapshot in the Prometheus text
 // exposition format.
-func WriteMetrics(w io.Writer, s Snapshot) error {
+func writeMetrics(w io.Writer, s Snapshot) error {
 	return writeProm(w, snapshotMetrics(s, nil))
 }
 
@@ -160,9 +160,9 @@ func mergeMetrics(groups [][]promMetric) []promMetric {
 	return out
 }
 
-// WriteFleetMetrics renders multiple servers' snapshots, one `model`
+// writeFleetMetrics renders multiple servers' snapshots, one `model`
 // label per entry, sorted by model name for deterministic output.
-func WriteFleetMetrics(w io.Writer, byModel map[string]Snapshot) error {
+func writeFleetMetrics(w io.Writer, byModel map[string]Snapshot) error {
 	names := make([]string, 0, len(byModel))
 	for n := range byModel {
 		names = append(names, n)

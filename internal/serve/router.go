@@ -108,9 +108,9 @@ func NewRouter(entries []RouterEntry) (*Router, error) {
 // SetFabric attaches the shared-fabric co-location snapshot to /stats.
 func (r *Router) SetFabric(snap FabricSnapshot) { r.fabric = &snap }
 
-// Server returns the named model's server (the lone server when only
+// server returns the named model's server (the lone server when only
 // one model is routed and name is empty).
-func (r *Router) Server(name string) (*Server, bool) {
+func (r *Router) server(name string) (*Server, bool) {
 	if name == "" && len(r.entries) == 1 {
 		return r.entries[0].Server, true
 	}
@@ -165,7 +165,7 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) pick(w http.ResponseWriter, req *http.Request) (*Server, bool) {
 	name := req.URL.Query().Get("model")
-	s, ok := r.Server(name)
+	s, ok := r.server(name)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{
 			Error: fmt.Sprintf("unknown model %q (serving %v)", name, r.Names()),
@@ -212,8 +212,8 @@ type RouterStats struct {
 	Fabric *FabricSnapshot     `json:"fabric,omitempty"`
 }
 
-// Stats snapshots every model server plus the fabric report.
-func (r *Router) Stats() RouterStats {
+// stats snapshots every model server plus the fabric report.
+func (r *Router) stats() RouterStats {
 	out := RouterStats{Models: make(map[string]Snapshot, len(r.entries)), Fabric: r.fabric}
 	for _, e := range r.entries {
 		out.Models[e.Name] = e.Server.Stats()
@@ -222,12 +222,12 @@ func (r *Router) Stats() RouterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
+	writeJSON(w, http.StatusOK, r.stats())
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = WriteFleetMetrics(w, r.Stats().Models)
+	_ = writeFleetMetrics(w, r.stats().Models)
 }
 
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {

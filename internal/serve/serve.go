@@ -231,10 +231,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// TraceRecorder exposes the attached span recorder (nil when tracing
-// is off) — the GET /trace surface snapshots it.
-func (s *Server) TraceRecorder() *trace.Recorder { return s.cfg.Trace }
-
 // Start launches the batcher and the batch workers. Requests submitted
 // before Start queue up (subject to admission control) and are served
 // in enqueue order once the batcher runs — which is what makes batch
@@ -291,15 +287,15 @@ func (s *Server) Stop() {
 // well-shaped and one caller's malformed tensor can never poison the
 // requests it would have been batched with.
 func (s *Server) SubmitAsync(x *tensor.Float) (<-chan Reply, error) {
-	ch, _, err := s.SubmitTraced(x)
+	ch, _, err := s.submitTraced(x)
 	return ch, err
 }
 
-// SubmitTraced is SubmitAsync plus the request ID assigned at
+// submitTraced is SubmitAsync plus the request ID assigned at
 // admission — the identity the HTTP layer echoes as X-Request-ID and
 // the serving trace uses as the span id. The ID is valid (non-zero)
 // exactly when err is nil.
-func (s *Server) SubmitTraced(x *tensor.Float) (<-chan Reply, int64, error) {
+func (s *Server) submitTraced(x *tensor.Float) (<-chan Reply, int64, error) {
 	want := s.cfg.Backend.InputShape()
 	ok := x != nil && x.Size() == s.inputSize
 	if ok && x.Dims() != 1 {
@@ -338,8 +334,8 @@ func (s *Server) SubmitTraced(x *tensor.Float) (<-chan Reply, int64, error) {
 	}
 }
 
-// Submit enqueues one request and blocks until its reply.
-func (s *Server) Submit(x *tensor.Float) (Result, error) {
+// submit enqueues one request and blocks until its reply.
+func (s *Server) submit(x *tensor.Float) (Result, error) {
 	ch, err := s.SubmitAsync(x)
 	if err != nil {
 		return Result{}, err
@@ -348,14 +344,11 @@ func (s *Server) Submit(x *tensor.Float) (Result, error) {
 	return rep.Result, rep.Err
 }
 
-// QueueDepth is the number of requests waiting for a batch slot.
-func (s *Server) QueueDepth() int { return len(s.queue) }
-
 // Stats snapshots the metrics block.
 func (s *Server) Stats() Snapshot {
 	snap := s.metrics.snapshot(s.cfg.Backend.Name(), len(s.queue))
 	if s.cfg.Pricer != nil {
-		sim := s.cfg.Pricer.Snapshot()
+		sim := s.cfg.Pricer.snapshot()
 		snap.Sim = &sim
 	}
 	if s.life != nil {

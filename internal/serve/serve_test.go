@@ -284,11 +284,11 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if st := s.Stats(); st.Rejected != 3 {
 		t.Fatalf("rejected = %d, want 3", st.Rejected)
 	}
-	if _, err := s.Submit(testInputs(t, model, 1, 1)[0]); err != nil {
+	if _, err := s.submit(testInputs(t, model, 1, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	s.Stop()
-	if _, err := s.Submit(testInputs(t, model, 1, 1)[0]); !errors.Is(err, ErrClosed) {
+	if _, err := s.submit(testInputs(t, model, 1, 1)[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after stop: %v, want ErrClosed", err)
 	}
 }
@@ -316,7 +316,7 @@ func TestBackendPanicFailsBatchNotServer(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	for i := 0; i < 3; i++ {
-		_, err := s.Submit(tensor.NewFloat(4))
+		_, err := s.submit(tensor.NewFloat(4))
 		if err == nil || !strings.Contains(err.Error(), "backend panic") {
 			t.Fatalf("request %d: err = %v, want backend panic error", i, err)
 		}
@@ -344,7 +344,7 @@ func TestHardwareBackendServesAndAgreesWithSoftware(t *testing.T) {
 	defer s.Stop()
 	serial := model.CloneShared()
 	for i, x := range testInputs(t, model, 6, 9) {
-		res, err := s.Submit(x)
+		res, err := s.submit(x)
 		if err != nil {
 			t.Fatal(err)
 		}

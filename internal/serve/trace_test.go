@@ -78,7 +78,7 @@ func TestServeTraceSpans(t *testing.T) {
 	s := tracedServer(t, rec)
 	const n = 10
 	for _, x := range testInputs(t, zooModel(t, "MLP-S"), n, 1) {
-		res, err := s.Submit(x)
+		res, err := s.submit(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestServeTraceRetryInstants(t *testing.T) {
 	}
 	s.Start()
 	for _, x := range testInputs(t, zooModel(t, "MLP-S"), 4, 2) {
-		if _, err := s.Submit(x); err != nil {
+		if _, err := s.submit(x); err != nil {
 			t.Fatal(err)
 		}
 	}

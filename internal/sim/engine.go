@@ -38,7 +38,7 @@ import (
 // resource gets a dense index into one shared span arena (no map
 // lookups on the hot path, reset is a length truncation), bookings use
 // an append-mostly calendar (samples book in near-monotone order), the
-// per-run BatchResults come from an engine-owned pool, and Reprice
+// per-run BatchResults come from an engine-owned pool, and reprice
 // swaps in a new compilation without reconstructing the engine. See
 // DESIGN.md "Engine internals".
 //
@@ -247,7 +247,7 @@ func (c *vcCal) bookXfer(ready float64, links, ports []int32, serNs, portNs floa
 // vcSpace is one virtual channel's resource index space: the maps
 // assign each link/chip-port a dense index into the channel's calendar.
 // The maps are touched only when a compilation binds (NewEngine,
-// Reprice, Swap), never on the scheduling hot path; indices are sticky,
+// reprice, swap), never on the scheduling hot path; indices are sticky,
 // so rebinding a different placement reuses the space and only new
 // resources register.
 type vcSpace struct {
@@ -407,10 +407,10 @@ func (e *Engine) bindTo(fb *fabricClock, bd *binding) {
 }
 
 // Engine schedules batches of inferences over the pipeline of one
-// compiled model. Build one with NewEngine; re-target it with Reprice.
+// compiled model. Build one with NewEngine; re-target it with reprice.
 // An Engine carries internal scratch, so concurrent RunBatch calls need
 // one Engine per caller. Results returned by RunBatch/RunBatches are
-// engine-owned and recycled by the next run (or Reprice) — callers that
+// engine-owned and recycled by the next run (or reprice) — callers that
 // retain one across runs must Clone it.
 type Engine struct {
 	sim       *Simulator
@@ -432,7 +432,7 @@ type Engine struct {
 	resUsed   int
 	bsScratch [1]int
 	brScratch [1]*BatchResult
-	// construction scratch reused across Reprice calls.
+	// construction scratch reused across reprice calls.
 	lb          *linkBuilder
 	tileScratch map[int]bool
 	// steady-state bottleneck, precomputed at configure time (static
@@ -455,14 +455,14 @@ func (s *Simulator) NewEngine(c *compiler.Compiled) (*Engine, error) {
 	return e, nil
 }
 
-// Reprice re-targets the engine at a new compilation, reusing the stage
+// reprice re-targets the engine at a new compilation, reusing the stage
 // slices, calendars and result pool — the cheap path for evaluators
 // that price many candidates of the same model. The engine behaves
 // bit-identically to a fresh NewEngine on the same compilation (pinned
 // by TestRepriceMatchesNewEngine). Tracing is detached (the registered
 // tracks belong to the old compilation); on error the engine is left in
 // an undefined state and must be discarded.
-func (e *Engine) Reprice(c *compiler.Compiled) error {
+func (e *Engine) reprice(c *compiler.Compiled) error {
 	e.tr = nil
 	return e.configure(c)
 }
@@ -720,9 +720,6 @@ func (lb *linkBuilder) addRoute(srcChip, srcTile, dstChip, dstTile int) error {
 // Result returns the embedded single-inference pricing (bit-identical
 // to Simulator.Run on the same compilation).
 func (e *Engine) Result() *Result { return e.res }
-
-// StageCount returns the pipeline depth.
-func (e *Engine) StageCount() int { return len(e.stages) }
 
 // StageOccupancy is one stage's utilization in a batch run.
 type StageOccupancy struct {

@@ -116,7 +116,7 @@ func TestRepriceMatchesNewEngine(t *testing.T) {
 		{"different model and design", other},
 		{"back to the original", greedy},
 	} {
-		if err := eng.Reprice(tc.c); err != nil {
+		if err := eng.reprice(tc.c); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		fresh, err := s.NewEngine(tc.c)
@@ -214,7 +214,7 @@ func TestEngineSetSwapMatchesFresh(t *testing.T) {
 	if _, err := es.RunSet(16); err != nil { // warm the iso cache + calendars
 		t.Fatal(err)
 	}
-	if err := es.Swap(1, cand); err != nil {
+	if err := es.swap(1, cand); err != nil {
 		t.Fatal(err)
 	}
 	got, err := es.RunSet(16)
@@ -273,11 +273,11 @@ func TestEngineSetSwapValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := es.Swap(5, base[0]); err == nil {
+	if err := es.swap(5, base[0]); err == nil {
 		t.Fatal("out-of-range slot must error")
 	}
 	wrong := compiled(t, "CNN-S", arch.MLCEPCM)
-	if err := es.Swap(1, wrong); err == nil || !strings.Contains(err.Error(), "mixes designs") {
+	if err := es.swap(1, wrong); err == nil || !strings.Contains(err.Error(), "mixes designs") {
 		t.Fatalf("mixed-design swap error = %v", err)
 	}
 	// A candidate overlapping the neighbour's tiles must be rejected by
@@ -287,7 +287,7 @@ func TestEngineSetSwapValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	solo := compiled(t, "CNN-S", arch.EinsteinBarrier) // full-fabric layout overlaps slot 0
-	if err := es2.Swap(1, solo); err == nil || !strings.Contains(err.Error(), "both occupy tile") {
+	if err := es2.swap(1, solo); err == nil || !strings.Contains(err.Error(), "both occupy tile") {
 		t.Fatalf("overlapping swap error = %v", err)
 	}
 }

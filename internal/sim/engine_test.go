@@ -111,8 +111,8 @@ func TestPipelineGainOverSerial(t *testing.T) {
 	if gain <= 1 {
 		t.Fatalf("streaming gain %g must exceed 1", gain)
 	}
-	if gain > float64(eng.StageCount()) {
-		t.Fatalf("streaming gain %g exceeds pipeline depth %d", gain, eng.StageCount())
+	if gain > float64(len(eng.stages)) {
+		t.Fatalf("streaming gain %g exceeds pipeline depth %d", gain, len(eng.stages))
 	}
 }
 
@@ -128,8 +128,8 @@ func TestEngineOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Stages) != eng.StageCount() {
-		t.Fatalf("%d stage stats for %d stages", len(br.Stages), eng.StageCount())
+	if len(br.Stages) != len(eng.stages) {
+		t.Fatalf("%d stage stats for %d stages", len(br.Stages), len(eng.stages))
 	}
 	for _, st := range br.Stages {
 		if st.Busy < 0 || st.Busy > 1.0000001 {

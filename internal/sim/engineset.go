@@ -18,7 +18,7 @@ import (
 // engines cannot see — plus a Jain fairness index over the normalized
 // rates.
 //
-// Like Engine, a set is built for reuse: Swap re-prices one slot with
+// Like Engine, a set is built for reuse: swap re-prices one slot with
 // a new candidate compilation (the coordinate-descent move of
 // SetEvaluator) without rebuilding the other engines, and the isolated
 // baselines — which do not depend on the neighbours at all — are cached
@@ -34,7 +34,7 @@ type EngineSet struct {
 	binds   []binding  // per-engine bindings to the shared clock
 	bindPs  []*binding // the same bindings, for variadic reseal
 	// iso caches the isolated per-model baselines (cloned — engine
-	// results are recycled): invalidated per slot by Swap, wholesale by
+	// results are recycled): invalidated per slot by swap, wholesale by
 	// a batch-size change.
 	iso  []*BatchResult
 	isoB int
@@ -95,20 +95,20 @@ func (es *EngineSet) checkDisjoint() error {
 	return nil
 }
 
-// Swap re-prices slot idx with a new compilation of the same design,
+// swap re-prices slot idx with a new compilation of the same design,
 // reusing the slot's engine and the shared calendars — the cheap path
 // for evaluating many candidate placements of one model against fixed
 // neighbours. The slot's isolated baseline is invalidated; the
 // neighbours' stay cached. On error the set is left in an undefined
 // state and must be discarded.
-func (es *EngineSet) Swap(idx int, c *compiler.Compiled) error {
+func (es *EngineSet) swap(idx int, c *compiler.Compiled) error {
 	if idx < 0 || idx >= len(es.engines) {
 		return fmt.Errorf("sim: swap slot %d outside set of %d", idx, len(es.engines))
 	}
 	if c.Design != es.design {
 		return fmt.Errorf("sim: engine set mixes designs %v and %v (one fabric, one design)", es.design, c.Design)
 	}
-	if err := es.engines[idx].Reprice(c); err != nil {
+	if err := es.engines[idx].reprice(c); err != nil {
 		return fmt.Errorf("sim: %s: %w", c.ModelName, err)
 	}
 	es.engines[idx].bindTo(es.fb, &es.binds[idx])

@@ -298,7 +298,7 @@ func TestShardedCompileRunsEndToEnd(t *testing.T) {
 	}
 	// The sharded program must cost MORE serial latency than the greedy
 	// one: inter-chip gathers are priced, not free.
-	sim2, err := New(cfg, s.Costs())
+	sim2, err := New(cfg, s.costs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 //
 // Cache misses are engineered to be cheap too: each evaluator keeps a
 // pool of idle engines (engine sets) keyed on the compiled program's
-// structural shape and re-prices a pooled engine (Engine.Reprice /
-// EngineSet.Swap) instead of rebuilding calendars and stages per
+// structural shape and re-prices a pooled engine (Engine.reprice /
+// EngineSet.swap) instead of rebuilding calendars and stages per
 // candidate, and concurrent misses on one fingerprint are collapsed
 // with singleflight so parallel search workers compute it once.
 
@@ -54,11 +54,103 @@ func (ec EvalCounters) PoolReuseRate() float64 {
 	return float64(ec.PoolReuses) / float64(ec.Computes)
 }
 
-// evalFlight is one in-flight computation other lookups can wait on.
-type evalFlight struct {
+// memo is the fingerprint cache both evaluators share: values keyed by
+// placement fingerprint, concurrent misses on one key collapsed into a
+// single compute (singleflight), idle engines pooled by structural
+// shape, and the counters. Safe for concurrent use.
+type memo[V, E any] struct {
+	mu       sync.Mutex
+	vals     map[string]V
+	inflight map[string]*flight[V]
+	pool     map[string][]E
+	counters EvalCounters
+}
+
+// flight is one in-flight computation other lookups can wait on.
+type flight[V any] struct {
 	done chan struct{}
-	br   *BatchResult
+	v    V
 	err  error
+}
+
+func newMemo[V, E any]() *memo[V, E] {
+	return &memo[V, E]{
+		vals:     map[string]V{},
+		inflight: map[string]*flight[V]{},
+		pool:     map[string][]E{},
+	}
+}
+
+// cached reports a memoized value. A hit counts as a lookup and a hit;
+// a miss counts nothing (the get that follows records it).
+func (m *memo[V, E]) cached(key string) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.vals[key]
+	if ok {
+		m.counters.Lookups++
+		m.counters.Hits++
+	}
+	return v, ok
+}
+
+// get returns the value for key, from the memo or from an in-flight
+// computation of it when there is one. Otherwise it runs compute once,
+// handing it an idle engine of the given shape (reused) or the zero E
+// (build one). On success the value is memoized and the returned engine
+// goes back to the pool; on error the engine's state is undefined and
+// it is dropped.
+func (m *memo[V, E]) get(key, shape string, compute func(idle E, reused bool) (V, E, error)) (V, error) {
+	m.mu.Lock()
+	m.counters.Lookups++
+	if v, ok := m.vals[key]; ok {
+		m.counters.Hits++
+		m.mu.Unlock()
+		return v, nil
+	}
+	if fl, ok := m.inflight[key]; ok {
+		// Another goroutine is already pricing this fingerprint: wait for
+		// its result instead of re-running the schedule.
+		m.counters.Hits++
+		m.mu.Unlock()
+		<-fl.done
+		return fl.v, fl.err
+	}
+	fl := &flight[V]{done: make(chan struct{})}
+	m.inflight[key] = fl
+	var idle E
+	reused := false
+	if n := len(m.pool[shape]); n > 0 {
+		idle, reused = m.pool[shape][n-1], true
+		m.pool[shape] = m.pool[shape][:n-1]
+	}
+	m.mu.Unlock()
+
+	v, eng, err := compute(idle, reused)
+
+	m.mu.Lock()
+	fl.v, fl.err = v, err
+	if err == nil {
+		m.vals[key] = v
+		m.pool[shape] = append(m.pool[shape], eng)
+		m.counters.Computes++
+		if reused {
+			m.counters.PoolReuses++
+		} else {
+			m.counters.PoolBuilds++
+		}
+	}
+	delete(m.inflight, key)
+	m.mu.Unlock()
+	close(fl.done)
+	return v, err
+}
+
+// snapshot returns a copy of the counters.
+func (m *memo[V, E]) snapshot() EvalCounters {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counters
 }
 
 // PlacementEvaluator scores one model's candidate placements by batch
@@ -67,12 +159,7 @@ type evalFlight struct {
 type PlacementEvaluator struct {
 	s     *Simulator
 	batch int
-
-	mu       sync.Mutex
-	memo     map[string]*BatchResult // evaluator-owned clones
-	inflight map[string]*evalFlight
-	pool     map[string][]*Engine // structural shape → idle engines
-	counters EvalCounters
+	memo  *memo[*BatchResult, *Engine] // evaluator-owned result clones
 }
 
 // PlacementEvaluator builds an evaluator that prices candidates with
@@ -81,22 +168,13 @@ func (s *Simulator) PlacementEvaluator(batch int) (*PlacementEvaluator, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("sim: evaluator batch %d must be ≥ 1", batch)
 	}
-	return &PlacementEvaluator{
-		s:        s,
-		batch:    batch,
-		memo:     map[string]*BatchResult{},
-		inflight: map[string]*evalFlight{},
-		pool:     map[string][]*Engine{},
-	}, nil
+	return &PlacementEvaluator{s: s, batch: batch, memo: newMemo[*BatchResult, *Engine]()}, nil
 }
-
-// Batch returns the objective batch size.
-func (pe *PlacementEvaluator) Batch() int { return pe.batch }
 
 // Score implements compiler.Evaluator: measured inf/s of the candidate
 // at the evaluator's batch size.
 func (pe *PlacementEvaluator) Score(c *compiler.Compiled) (float64, error) {
-	br, err := pe.Result(c)
+	br, err := pe.result(c)
 	if err != nil {
 		return 0, err
 	}
@@ -109,123 +187,47 @@ func (pe *PlacementEvaluator) Score(c *compiler.Compiled) (float64, error) {
 // revisits. A probe that hits counts as a lookup+hit; a miss counts
 // nothing (the subsequent Result call records it).
 func (pe *PlacementEvaluator) CachedScore(model string, design arch.Design, p *compiler.Placement) (float64, bool) {
-	key := model + "/" + design.String() + "/" + p.Fingerprint()
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	if br, ok := pe.memo[key]; ok {
-		pe.counters.Lookups++
-		pe.counters.Hits++
-		return br.ThroughputPerSec, true
+	br, ok := pe.memo.cached(model + "/" + design.String() + "/" + p.Fingerprint())
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return br.ThroughputPerSec, true
 }
 
-// Result returns the full BatchResult of a candidate, from the cache
+// result returns the full BatchResult of a candidate, from the cache
 // when its placement fingerprint was priced before. Callers must treat
 // the result as read-only — it is shared across cache hits.
-func (pe *PlacementEvaluator) Result(c *compiler.Compiled) (*BatchResult, error) {
+func (pe *PlacementEvaluator) result(c *compiler.Compiled) (*BatchResult, error) {
 	if c.Placement == nil {
 		return nil, fmt.Errorf("sim: compiled %s has no placement to fingerprint", c.ModelName)
 	}
 	key := c.ModelName + "/" + c.Design.String() + "/" + c.Placement.Fingerprint()
-	pe.mu.Lock()
-	pe.counters.Lookups++
-	if br, ok := pe.memo[key]; ok {
-		pe.counters.Hits++
-		pe.mu.Unlock()
-		return br, nil
-	}
-	if fl, ok := pe.inflight[key]; ok {
-		// Another goroutine is already pricing this fingerprint: wait for
-		// its result instead of re-running the schedule.
-		pe.counters.Hits++
-		pe.mu.Unlock()
-		<-fl.done
-		return fl.br, fl.err
-	}
-	fl := &evalFlight{done: make(chan struct{})}
-	pe.inflight[key] = fl
-	pe.mu.Unlock()
-
-	br, err := pe.compute(c)
-
-	pe.mu.Lock()
-	fl.br, fl.err = br, err
-	if err == nil {
-		pe.memo[key] = br
-	}
-	delete(pe.inflight, key)
-	pe.mu.Unlock()
-	close(fl.done)
-	return br, err
-}
-
-// compute prices one candidate on a pooled (or fresh) engine and
-// returns an evaluator-owned clone of the result.
-func (pe *PlacementEvaluator) compute(c *compiler.Compiled) (*BatchResult, error) {
 	// Engines are interchangeable across candidates of one (model,
 	// design): the stage structure is fixed, only placements differ.
 	shape := c.ModelName + "|" + c.Design.String()
-	pe.mu.Lock()
-	var eng *Engine
-	if idle := pe.pool[shape]; len(idle) > 0 {
-		eng = idle[len(idle)-1]
-		pe.pool[shape] = idle[:len(idle)-1]
-	}
-	pe.mu.Unlock()
-	reused := eng != nil
-	var err error
-	if reused {
-		err = eng.Reprice(c)
-	} else {
-		eng, err = pe.s.NewEngine(c)
-	}
-	if err != nil {
-		// A failed configure leaves the engine undefined: drop it.
-		return nil, err
-	}
-	br, err := eng.RunBatch(pe.batch)
-	if err != nil {
-		return nil, err
-	}
-	clone := br.Clone()
-	pe.mu.Lock()
-	pe.pool[shape] = append(pe.pool[shape], eng)
-	pe.counters.Computes++
-	if reused {
-		pe.counters.PoolReuses++
-	} else {
-		pe.counters.PoolBuilds++
-	}
-	pe.mu.Unlock()
-	return clone, nil
+	return pe.memo.get(key, shape, func(eng *Engine, reused bool) (*BatchResult, *Engine, error) {
+		var err error
+		if reused {
+			err = eng.reprice(c)
+		} else {
+			eng, err = pe.s.NewEngine(c)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		br, err := eng.RunBatch(pe.batch)
+		if err != nil {
+			return nil, nil, err
+		}
+		return br.Clone(), eng, nil
+	})
 }
 
 // Counters returns a snapshot of the evaluator's perf counters.
-func (pe *PlacementEvaluator) Counters() EvalCounters {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	return pe.counters
-}
-
-// Stats returns the cache counters: total lookups and hits.
-func (pe *PlacementEvaluator) Stats() (lookups, hits int64) {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	return pe.counters.Lookups, pe.counters.Hits
-}
+func (pe *PlacementEvaluator) Counters() EvalCounters { return pe.memo.snapshot() }
 
 // HitRate is hits/lookups (0 before the first lookup).
-func (pe *PlacementEvaluator) HitRate() float64 {
-	return pe.Counters().HitRate()
-}
-
-// setFlight is one in-flight set computation.
-type setFlight struct {
-	done chan struct{}
-	v    float64
-	err  error
-}
+func (pe *PlacementEvaluator) HitRate() float64 { return pe.Counters().HitRate() }
 
 // SetEvaluator scores candidate placements of ONE model of a co-located
 // set by the whole fabric's interference-aware objective: the set's
@@ -239,12 +241,9 @@ type SetEvaluator struct {
 	set   []*compiler.Compiled
 	idx   int
 	batch int
-
-	mu       sync.Mutex
-	memo     map[string]float64
-	inflight map[string]*setFlight
-	pool     []*EngineSet // idle sets (all built from the same base set)
-	counters EvalCounters
+	// The other slots are fixed, so the candidate's fingerprint alone
+	// keys the memo, and every pooled set is built from the same base.
+	memo *memo[float64, *EngineSet]
 }
 
 // SetEvaluator builds the co-location objective for slot idx of the
@@ -261,14 +260,7 @@ func (s *Simulator) SetEvaluator(set []*compiler.Compiled, idx, batch int) (*Set
 	}
 	cp := make([]*compiler.Compiled, len(set))
 	copy(cp, set)
-	return &SetEvaluator{
-		s:        s,
-		set:      cp,
-		idx:      idx,
-		batch:    batch,
-		memo:     map[string]float64{},
-		inflight: map[string]*setFlight{},
-	}, nil
+	return &SetEvaluator{s: s, set: cp, idx: idx, batch: batch, memo: newMemo[float64, *EngineSet]()}, nil
 }
 
 // Score implements compiler.Evaluator: AggregatePerSec × FairnessJain
@@ -277,110 +269,32 @@ func (se *SetEvaluator) Score(c *compiler.Compiled) (float64, error) {
 	if c.Placement == nil {
 		return 0, fmt.Errorf("sim: compiled %s has no placement to fingerprint", c.ModelName)
 	}
-	// The other slots are fixed, so the candidate's fingerprint alone
-	// keys the memo.
-	key := c.Placement.Fingerprint()
-	se.mu.Lock()
-	se.counters.Lookups++
-	if v, ok := se.memo[key]; ok {
-		se.counters.Hits++
-		se.mu.Unlock()
-		return v, nil
-	}
-	if fl, ok := se.inflight[key]; ok {
-		se.counters.Hits++
-		se.mu.Unlock()
-		<-fl.done
-		return fl.v, fl.err
-	}
-	fl := &setFlight{done: make(chan struct{})}
-	se.inflight[key] = fl
-	se.mu.Unlock()
-
-	v, err := se.compute(c)
-
-	se.mu.Lock()
-	fl.v, fl.err = v, err
-	if err == nil {
-		se.memo[key] = v
-	}
-	delete(se.inflight, key)
-	se.mu.Unlock()
-	close(fl.done)
-	return v, err
+	return se.memo.get(c.Placement.Fingerprint(), "", func(es *EngineSet, reused bool) (float64, *EngineSet, error) {
+		if !reused {
+			var err error
+			// The base set (incumbent in the slot) compiles once; swap
+			// below re-prices the slot with the candidate.
+			if es, err = se.s.NewEngineSet(se.set); err != nil {
+				return 0, nil, err
+			}
+		}
+		if err := es.swap(se.idx, c); err != nil {
+			return 0, nil, err
+		}
+		sr, err := es.RunSet(se.batch)
+		if err != nil {
+			return 0, nil, err
+		}
+		return sr.AggregatePerSec * sr.FairnessJain, es, nil
+	})
 }
 
 // CachedScore implements compiler.CachedEvaluator (the model/design
 // arguments are ignored: a SetEvaluator is bound to one slot of one
 // set, and the memo is keyed by candidate fingerprint alone).
 func (se *SetEvaluator) CachedScore(_ string, _ arch.Design, p *compiler.Placement) (float64, bool) {
-	key := p.Fingerprint()
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if v, ok := se.memo[key]; ok {
-		se.counters.Lookups++
-		se.counters.Hits++
-		return v, true
-	}
-	return 0, false
-}
-
-// compute swaps the candidate into a pooled (or fresh) engine set and
-// runs the co-located schedule.
-func (se *SetEvaluator) compute(c *compiler.Compiled) (float64, error) {
-	se.mu.Lock()
-	var es *EngineSet
-	if n := len(se.pool); n > 0 {
-		es = se.pool[n-1]
-		se.pool = se.pool[:n-1]
-	}
-	se.mu.Unlock()
-	reused := es != nil
-	if !reused {
-		var err error
-		// The base set (incumbent in the slot) compiles once; Swap below
-		// re-prices the slot with the candidate.
-		if es, err = se.s.NewEngineSet(se.set); err != nil {
-			return 0, err
-		}
-	}
-	// On any error the set's state is undefined (a half-applied swap, an
-	// overlapping candidate): drop it rather than pooling it.
-	if err := es.Swap(se.idx, c); err != nil {
-		return 0, err
-	}
-	sr, err := es.RunSet(se.batch)
-	if err != nil {
-		return 0, err
-	}
-	v := sr.AggregatePerSec * sr.FairnessJain
-	se.mu.Lock()
-	se.pool = append(se.pool, es)
-	se.counters.Computes++
-	if reused {
-		se.counters.PoolReuses++
-	} else {
-		se.counters.PoolBuilds++
-	}
-	se.mu.Unlock()
-	return v, nil
+	return se.memo.cached(p.Fingerprint())
 }
 
 // Counters returns a snapshot of the evaluator's perf counters.
-func (se *SetEvaluator) Counters() EvalCounters {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.counters
-}
-
-// Stats returns the cache counters: total lookups and hits.
-func (se *SetEvaluator) Stats() (lookups, hits int64) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.counters.Lookups, se.counters.Hits
-}
-
-// HitRate is hits/lookups (0 before the first lookup).
-func (se *SetEvaluator) HitRate() float64 {
-	return se.Counters().HitRate()
-}
+func (se *SetEvaluator) Counters() EvalCounters { return se.memo.snapshot() }

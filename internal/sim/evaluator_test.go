@@ -31,8 +31,8 @@ func TestPlacementEvaluatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe.Batch() != 8 {
-		t.Fatalf("Batch() = %d", pe.Batch())
+	if pe.batch != 8 {
+		t.Fatalf("batch = %d", pe.batch)
 	}
 	if pe.HitRate() != 0 {
 		t.Fatal("hit rate before first lookup must be 0")
@@ -98,24 +98,24 @@ func TestPlacementEvaluatorCaches(t *testing.T) {
 	if first != second {
 		t.Fatalf("cache hit returned different score: %v vs %v", first, second)
 	}
-	if l, h := pe.Stats(); l != 2 || h != 1 {
-		t.Fatalf("lookups=%d hits=%d after an identical recompile", l, h)
+	if c := pe.Counters(); c.Lookups != 2 || c.Hits != 1 {
+		t.Fatalf("lookups=%d hits=%d after an identical recompile", c.Lookups, c.Hits)
 	}
 	if _, err := pe.Score(compileOne(t, "MLP-S", compiler.GreedyPlacer{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
-	if l, h := pe.Stats(); l != 3 || h != 1 {
-		t.Fatalf("lookups=%d hits=%d after a different layout", l, h)
+	if c := pe.Counters(); c.Lookups != 3 || c.Hits != 1 {
+		t.Fatalf("lookups=%d hits=%d after a different layout", c.Lookups, c.Hits)
 	}
 	if got := pe.HitRate(); got != 1.0/3.0 {
 		t.Fatalf("hit rate %v", got)
 	}
 	// The cached BatchResult is shared by pointer across hits.
-	r1, err := pe.Result(mesh)
+	r1, err := pe.result(mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := pe.Result(again)
+	r2, err := pe.result(again)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,12 @@ func TestSetEvaluatorObjective(t *testing.T) {
 		if _, err := se.Score(cs[idx]); err != nil {
 			t.Fatal(err)
 		}
-		if l, h := se.Stats(); l != 2 || h != 1 {
-			t.Fatalf("slot %d: lookups=%d hits=%d", idx, l, h)
+		c := se.Counters()
+		if c.Lookups != 2 || c.Hits != 1 {
+			t.Fatalf("slot %d: lookups=%d hits=%d", idx, c.Lookups, c.Hits)
 		}
-		if se.HitRate() != 0.5 {
-			t.Fatalf("slot %d: hit rate %v", idx, se.HitRate())
+		if c.HitRate() != 0.5 {
+			t.Fatalf("slot %d: hit rate %v", idx, c.HitRate())
 		}
 	}
 }

@@ -74,9 +74,6 @@ func New(cfg arch.Config, costs energy.CostParams) (*Simulator, error) {
 	return &Simulator{cfg: cfg, costs: costs, mesh: mesh}, nil
 }
 
-// Costs exposes the active cost table.
-func (s *Simulator) Costs() energy.CostParams { return s.costs }
-
 // stageCost is the per-SYNC-section pricing the pipeline engine builds
 // on: the section's tile-resident service time and its trailing NoC
 // transfer, separated so the engine can overlap compute and movement of

@@ -110,9 +110,6 @@ func (e *Engine) EnableTrace(r *trace.Recorder) {
 	e.tr = et
 }
 
-// TraceEnabled reports whether the engine currently records.
-func (e *Engine) TraceEnabled() bool { return e.tr != nil }
-
 // TraceEventsPerSample returns how many events one sample emits at
 // most — size a recorder ring as B × this (plus slack for metadata) so
 // a batch export drops nothing.

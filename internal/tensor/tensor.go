@@ -92,9 +92,6 @@ func (t *Float) offset(idx ...int) int {
 	return off
 }
 
-// At returns the element at the coordinates.
-func (t *Float) At(idx ...int) float64 { return t.data[t.offset(idx...)] }
-
 // Set stores v at the coordinates.
 func (t *Float) Set(v float64, idx ...int) { t.data[t.offset(idx...)] = v }
 
@@ -139,13 +136,6 @@ func (t *Float) Alias(src *Float, shape ...int) *Float {
 	}
 	t.data = src.data
 	return t
-}
-
-// Fill sets every element to v.
-func (t *Float) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
 }
 
 // ArgMax returns the flat index of the maximum element (first on ties).

@@ -33,7 +33,7 @@ func TestNewFloatBadDimPanics(t *testing.T) {
 func TestAtSetRowMajor(t *testing.T) {
 	x := NewFloat(2, 3)
 	x.Set(7, 1, 2)
-	if x.At(1, 2) != 7 {
+	if x.data[x.offset(1, 2)] != 7 {
 		t.Fatal("At/Set broken")
 	}
 	if x.Data()[5] != 7 { // row-major: 1*3+2
@@ -50,7 +50,7 @@ func TestAtPanics(t *testing.T) {
 					t.Fatalf("expected panic for %v", idx)
 				}
 			}()
-			x.At(idx...)
+			_ = x.data[x.offset(idx...)]
 		}()
 	}
 }
@@ -58,11 +58,11 @@ func TestAtPanics(t *testing.T) {
 func TestFromSliceAndReshape(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	y := x.Reshape(3, 2)
-	if y.At(2, 1) != 6 {
+	if y.data[y.offset(2, 1)] != 6 {
 		t.Fatal("reshape broke layout")
 	}
 	y.Set(42, 0, 0)
-	if x.At(0, 0) != 42 {
+	if x.data[x.offset(0, 0)] != 42 {
 		t.Fatal("Reshape should share storage")
 	}
 	defer func() {
@@ -77,14 +77,16 @@ func TestCloneIndependent(t *testing.T) {
 	x := NewFloat(4)
 	c := x.Clone()
 	c.Set(1, 0)
-	if x.At(0) != 0 {
+	if x.data[x.offset(0)] != 0 {
 		t.Fatal("clone shares storage")
 	}
 }
 
 func TestFillArgMax(t *testing.T) {
 	x := NewFloat(5)
-	x.Fill(-2)
+	for i := range x.data {
+		x.data[i] = -2
+	}
 	x.Set(3, 2)
 	if x.ArgMax() != 2 {
 		t.Fatalf("ArgMax = %d", x.ArgMax())
@@ -134,8 +136,8 @@ func TestIm2ColManual(t *testing.T) {
 	}
 	for p := range want {
 		for c := range want[p] {
-			if cols.At(p, c) != want[p][c] {
-				t.Fatalf("patch %d col %d = %g, want %g", p, c, cols.At(p, c), want[p][c])
+			if cols.data[cols.offset(p, c)] != want[p][c] {
+				t.Fatalf("patch %d col %d = %g, want %g", p, c, cols.data[cols.offset(p, c)], want[p][c])
 			}
 		}
 	}
@@ -143,14 +145,16 @@ func TestIm2ColManual(t *testing.T) {
 
 func TestIm2ColPaddingZero(t *testing.T) {
 	x := NewFloat(1, 2, 2)
-	x.Fill(1)
+	for i := range x.data {
+		x.data[i] = 1
+	}
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	cols := g.Im2Col(x)
 	// First patch (centered at 0,0): corners outside → zeros.
-	if cols.At(0, 0) != 0 {
+	if cols.data[cols.offset(0, 0)] != 0 {
 		t.Fatal("padding should read zero")
 	}
-	if cols.At(0, 4) != 1 { // center = x[0,0]
+	if cols.data[cols.offset(0, 4)] != 1 { // center = x[0,0]
 		t.Fatal("center element wrong")
 	}
 }
@@ -180,7 +184,7 @@ func TestIm2ColConvEquivalence(t *testing.T) {
 						ih := oh*g.StrideH + kh - g.PadH
 						iw := ow*g.StrideW + kw - g.PadW
 						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
-							direct += kernel[k] * x.At(c, ih, iw)
+							direct += kernel[k] * x.data[x.offset(c, ih, iw)]
 						}
 						k++
 					}
@@ -188,7 +192,7 @@ func TestIm2ColConvEquivalence(t *testing.T) {
 			}
 			viaCols := 0.0
 			for c := 0; c < g.PatchLen(); c++ {
-				viaCols += kernel[c] * cols.At(pos, c)
+				viaCols += kernel[c] * cols.data[cols.offset(pos, c)]
 			}
 			if diff := direct - viaCols; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("pos %d: direct %g vs im2col %g", pos, direct, viaCols)

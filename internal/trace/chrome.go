@@ -50,7 +50,7 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 	tracks := r.Tracks()
 	procs := r.Processes()
 	events := r.Events()
-	meta := r.Meta()
+	meta := r.metaKVs()
 
 	proc := make(map[int32]int32, len(tracks)) // track id -> pid
 	for _, t := range tracks {

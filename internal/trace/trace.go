@@ -140,9 +140,6 @@ func New(capacity int) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder records (false on nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Intern registers a display name and returns its id. Call at setup
 // time, not on hot paths. Nil-safe (returns 0).
 func (r *Recorder) Intern(s string) int32 {
@@ -261,14 +258,6 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Capacity is the ring size.
-func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Events returns the live events oldest-first (a copy).
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -302,8 +291,8 @@ func (r *Recorder) Processes() []Process {
 	return append([]Process(nil), r.procs...)
 }
 
-// Meta returns the metadata pairs in insertion order (a copy).
-func (r *Recorder) Meta() []MetaKV {
+// metaKVs returns the metadata pairs in insertion order (a copy).
+func (r *Recorder) metaKVs() []MetaKV {
 	if r == nil {
 		return nil
 	}

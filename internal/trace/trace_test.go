@@ -11,8 +11,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := New(4)
-	if r.Capacity() != 4 || r.Len() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d", r.Capacity(), r.Len())
+	if len(r.buf) != 4 || r.Len() != 0 {
+		t.Fatalf("fresh ring: cap=%d len=%d", len(r.buf), r.Len())
 	}
 	p := r.AddProcess("engine")
 	tr := r.AddTrack(p, "stage0")
@@ -68,19 +68,16 @@ func TestRingOverflowKeepsNewest(t *testing.T) {
 // on a nil *Recorder is a safe no-op.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder claims enabled")
-	}
 	r.Emit(Event{})
 	r.Reset()
 	r.SetMeta("k", "v")
 	if r.Intern("x") != 0 || r.AddProcess("p") != 0 || r.AddTrack(1, "t") != 0 {
 		t.Fatal("nil recorder returned non-zero id")
 	}
-	if r.Len() != 0 || r.Dropped() != 0 || r.Capacity() != 0 {
+	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder has state")
 	}
-	if r.Events() != nil || r.Tracks() != nil || r.Processes() != nil || r.Meta() != nil {
+	if r.Events() != nil || r.Tracks() != nil || r.Processes() != nil || r.metaKVs() != nil {
 		t.Fatal("nil recorder returned data")
 	}
 	if r.Name(1) != "" {
@@ -132,7 +129,7 @@ func TestSetMetaLastWriteWins(t *testing.T) {
 	r.SetMeta("batch", "16")
 	r.SetMeta("makespan_ns", "100")
 	r.SetMeta("batch", "256")
-	m := r.Meta()
+	m := r.metaKVs()
 	if len(m) != 2 || m[0] != (MetaKV{"batch", "256"}) || m[1] != (MetaKV{"makespan_ns", "100"}) {
 		t.Fatalf("meta = %+v", m)
 	}
