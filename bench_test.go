@@ -321,9 +321,10 @@ func BenchmarkBitops(b *testing.B) {
 // BenchmarkBitBatch measures the batch-major bit-parallel path (E10):
 // 64 samples per machine word through pack/unpack, the fused
 // XNOR+popcount+sign batch kernel, and the full model forward. The
-// ns/sample metric is the per-inference cost at lane width 64; compare
-// against BenchmarkBitops (one sample per call) and the serial64 runs
-// for the bit-parallel speedup.
+// ns/sample metric is the per-inference cost at the batch's lane
+// count; compare against BenchmarkBitops (one sample per call) and the
+// serial64 runs for the bit-parallel speedup. The MLP-S batch=1/5/8
+// runs are ragged batches, which pay for their live lanes only.
 func BenchmarkBitBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	const feat, lanes = 1024, 64
@@ -360,26 +361,31 @@ func BenchmarkBitBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lanes, "ns/sample")
 	})
-	for _, name := range []string{"MLP-S", "CNN-S"} {
-		model, err := bnn.NewModel(name, 1)
+	// Full words for both model families, then the ragged batches the
+	// open-loop server forms: these pay for their live lanes only.
+	for _, c := range []struct {
+		name  string
+		lanes int
+	}{{"MLP-S", lanes}, {"CNN-S", lanes}, {"MLP-S", 1}, {"MLP-S", 5}, {"MLP-S", 8}} {
+		model, err := bnn.NewModel(c.name, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		xs := make([]*tensor.Float, lanes)
+		xs := make([]*tensor.Float, c.lanes)
 		for i := range xs {
 			xs[i] = tensor.NewFloat(model.InputShape...)
 			for j := range xs[i].Data() {
 				xs[i].Data()[j] = rng.NormFloat64()
 			}
 		}
-		b.Run(fmt.Sprintf("InferBatchBits/%s/batch=%d", name, lanes), func(b *testing.B) {
+		b.Run(fmt.Sprintf("InferBatchBits/%s/batch=%d", c.name, c.lanes), func(b *testing.B) {
 			model.InferBatchBits(xs) // warm model-owned scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				model.InferBatchBits(xs)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lanes, "ns/sample")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.lanes), "ns/sample")
 		})
 	}
 }

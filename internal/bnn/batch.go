@@ -17,18 +17,27 @@ import (
 //     fused batch kernels and re-binarize without per-sample round
 //     trips;
 //   - float domain: a lanedFloat, feature f of sample s at
-//     data[f*LaneWidth+s], so a dense FP layer reduces all lanes with
-//     one broadcast multiply-add per feature (tensor.DenseLanesInto).
+//     data[f*LaneWidth+s], so a dense FP layer is one whole-layer
+//     kernel over 8 output neurons × 8 lanes at a time
+//     (tensor.DenseLanesInto).
 //
 // Domain conversions are exact (±1 floats ↔ bits), and every kernel
 // performs the per-sample operation sequence lane by lane, so batch
-// results are bit-identical to Model.Infer — pinned across the zoo by
-// TestInferBatchBitsMatchesInfer.
+// results are bit-identical to Model.Infer — pinned across the zoo at
+// every lane-group boundary by TestInferBatchBitsMatchesInfer.
 //
-// Remainder policy: a batch never exceeds LaneWidth; ragged batches
-// (< LaneWidth lanes) run the same code paths with the canonical
-// lane-mask invariant keeping dead lanes zero in the bit domain, while
-// float-domain dead lanes may hold stale values that no consumer reads.
+// Remainder policy: a batch never exceeds LaneWidth, and a ragged batch
+// pays for its live lanes only. The bit domain keeps the canonical
+// lane-mask invariant (dead lanes zero). The float domain works on the
+// span, the live count rounded up to 8 (tensor.LaneSpan, one 512-bit
+// register): bias, ReLU, pooling, ±1 expansion and the dense kernel
+// touch lanes below the span and nothing above it. Dead lanes inside
+// the span are computed from whatever stale values they hold; dead
+// lanes above it keep values from an earlier, wider batch. No consumer
+// reads either — the output de-transpose and the bit packer read live
+// lanes only. A 1-lane batch costs one lane group, about one
+// per-sample pass on the MLPs, so the float kernels need no crossover
+// to a narrower path.
 //
 // Scratch ownership: every layer owns its batch buffers (nil'd by
 // cloneShared, like the per-sample scratch), the model owns the
@@ -42,8 +51,9 @@ const LaneWidth = tensor.LaneWidth
 
 // lanedFloat is a batch-major float activation block: feature f of
 // lane s lives at data[f*LaneWidth+s]. The lane stride is always
-// LaneWidth regardless of the live lane count, so kernels never branch
-// on raggedness; dead lanes carry junk that is never read.
+// LaneWidth regardless of the live lane count; float loops cover the
+// span (live lanes rounded up to 8), and dead lanes carry junk that is
+// never read.
 type lanedFloat struct {
 	features int
 	data     []float64
@@ -71,20 +81,24 @@ type batchAct struct {
 	bb    *bitops.BitBatch
 }
 
+// span is the float-domain lane extent: lanes rounded up to 8.
+func (a *batchAct) span() int { return tensor.LaneSpan(a.lanes) }
+
 func (a *batchAct) set(shape []int, lanes int, fl *lanedFloat, bb *bitops.BitBatch) *batchAct {
 	a.shape, a.lanes, a.fl, a.bb = shape, lanes, fl, bb
 	return a
 }
 
 // floatLanes returns the activation in float form, expanding a
-// bit-domain block to ±1 lanes into scr when needed.
+// bit-domain block to ±1 lanes below the span into scr when needed.
 func (a *batchAct) floatLanes(scr *lanedFloat) *lanedFloat {
 	if a.fl != nil {
 		return a.fl
 	}
 	out := scr.ensure(a.bb.Features())
+	span := a.span()
 	for f, word := range a.bb.Words() {
-		d := out.data[f*LaneWidth : (f+1)*LaneWidth]
+		d := out.data[f*LaneWidth : f*LaneWidth+span]
 		for s := range d {
 			if word>>uint(s)&1 == 1 {
 				d[s] = 1
@@ -137,10 +151,9 @@ type denseFPBatch struct {
 	act      batchAct
 }
 
-// forwardBatch runs the dense layer on all lanes: per output neuron,
-// bias broadcast + one multiply-add per feature across the 64-lane
-// stripe, then ReLU — the scalar Forward loop lane-replicated, so each
-// lane is bit-identical to it.
+// forwardBatch runs the dense layer on the span: bias broadcast, one
+// whole-layer multiply-add kernel, then ReLU — the scalar Forward loop
+// lane-replicated, so each lane is bit-identical to it.
 func (d *DenseFP) forwardBatch(x *batchAct) *batchAct {
 	in, out := d.inDim(), d.outDim()
 	if sizeOf(x.shape) != in {
@@ -151,15 +164,17 @@ func (d *DenseFP) forwardBatch(x *batchAct) *batchAct {
 	}
 	bx := x.floatLanes(&d.batch.in)
 	y := d.batch.out.ensure(out)
-	wd := d.W.Data()
-	for o := 0; o < out; o++ {
-		acc := y.data[o*LaneWidth : (o+1)*LaneWidth]
-		bo := d.B[o]
+	span := x.span()
+	for o, bo := range d.B[:out] {
+		acc := y.data[o*LaneWidth : o*LaneWidth+span]
 		for s := range acc {
 			acc[s] = bo
 		}
-		tensor.DenseLanesInto(acc, bx.data, wd[o*in:(o+1)*in])
-		if d.ReLU {
+	}
+	tensor.DenseLanesInto(y.data, bx.data, d.W.Data(), x.lanes)
+	if d.ReLU {
+		for o := 0; o < out; o++ {
+			acc := y.data[o*LaneWidth : o*LaneWidth+span]
 			for s := range acc {
 				if acc[s] < 0 {
 					acc[s] = 0
@@ -304,7 +319,8 @@ type poolBatch struct {
 
 // forwardBatch pools all lanes at once. In the bit domain max over ±1
 // is an OR reduction, so one word-OR per window element advances 64
-// samples; in the float domain each lane runs the scalar window max.
+// samples; in the float domain each lane below the span runs the
+// scalar window max.
 func (m *MaxPool2D) forwardBatch(x *batchAct) *batchAct {
 	if len(x.shape) != 3 {
 		panic(fmt.Sprintf("bnn: %s: pooling needs CHW input, got %v", m.LayerName, x.shape))
@@ -340,11 +356,12 @@ func (m *MaxPool2D) forwardBatch(x *batchAct) *batchAct {
 	}
 	out := mb.fl.ensure(c * oh * ow)
 	xd := x.fl.data
+	span := x.span()
 	for ci := 0; ci < c; ci++ {
 		for i := 0; i < oh; i++ {
 			for j := 0; j < ow; j++ {
 				d := out.data[((ci*oh+i)*ow+j)*LaneWidth:]
-				for s := 0; s < LaneWidth; s++ {
+				for s := 0; s < span; s++ {
 					best := math.Inf(-1)
 					for di := 0; di < m.Size; di++ {
 						rowBase := (ci*h + i*m.Size + di) * w

@@ -2,6 +2,7 @@ package bnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -22,10 +23,34 @@ func zooInputs(t testing.TB, m *Model, n int, seed int64) []*tensor.Float {
 	return out
 }
 
+// checkBatchMatches runs one InferBatchBits call on n fresh inputs and
+// requires every logit to equal the per-sample reference bit for bit.
+func checkBatchMatches(t *testing.T, m, ref *Model, n int, seed int64) {
+	t.Helper()
+	xs := zooInputs(t, m, n, seed)
+	got := m.InferBatchBits(xs)
+	if len(got) != n {
+		t.Fatalf("batch %d returned %d logits", n, len(got))
+	}
+	for s, x := range xs {
+		want := ref.Infer(x)
+		if !want.SameShape(got[s]) {
+			t.Fatalf("batch %d sample %d: shape %v, want %v", n, s, got[s].Shape(), want.Shape())
+		}
+		for i, v := range want.Data() {
+			if math.Float64bits(got[s].Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("batch %d sample %d logit %d: batch %v, serial %v",
+					n, s, i, got[s].Data()[i], v)
+			}
+		}
+	}
+}
+
 // TestInferBatchBitsMatchesInfer pins the tentpole equivalence: for
-// every zoo network and several batch sizes (ragged, word-boundary,
-// full), the batch-major bit-parallel path reproduces the per-sample
-// reference logits bit for bit.
+// every zoo network and batch sizes on both sides of every lane-group
+// boundary (the float kernels work in groups of 8 lanes), the
+// batch-major bit-parallel path reproduces the per-sample reference
+// logits bit for bit.
 func TestInferBatchBitsMatchesInfer(t *testing.T) {
 	for _, name := range ZooNames {
 		name := name
@@ -35,53 +60,31 @@ func TestInferBatchBitsMatchesInfer(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := m.CloneShared() // independent scratch for the serial path
-			sizes := []int{1, 3, 64}
+			sizes := []int{1, 2, 5, 7, 8, 9, 15, 16, 17, 63, 64}
 			if testing.Short() {
 				sizes = []int{3}
 			}
 			for _, n := range sizes {
-				xs := zooInputs(t, m, n, int64(100+n))
-				got := m.InferBatchBits(xs)
-				if len(got) != n {
-					t.Fatalf("batch %d returned %d logits", n, len(got))
-				}
-				for s, x := range xs {
-					want := ref.Infer(x)
-					if !want.SameShape(got[s]) {
-						t.Fatalf("batch %d sample %d: shape %v, want %v", n, s, got[s].Shape(), want.Shape())
-					}
-					for i, v := range want.Data() {
-						if got[s].Data()[i] != v {
-							t.Fatalf("batch %d sample %d logit %d: batch %v, serial %v",
-								n, s, i, got[s].Data()[i], v)
-						}
-					}
-				}
+				checkBatchMatches(t, m, ref, n, int64(100+n))
 			}
 		})
 	}
 }
 
 // TestInferBatchBitsReusesScratch pins that consecutive calls —
-// including shrinking and regrowing the batch — stay correct while
-// reusing model-owned scratch.
+// shrinking and regrowing the batch — stay correct while reusing
+// model-owned scratch. After a full word, a narrower call sees dead
+// lanes holding the previous batch's activations, both inside its
+// 8-lane span and above it; none may reach a live logit.
 func TestInferBatchBitsReusesScratch(t *testing.T) {
-	m, err := NewModel("CNN-S", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := m.CloneShared()
-	for trial, n := range []int{64, 1, 17, 64, 2} {
-		xs := zooInputs(t, m, n, int64(trial))
-		got := m.InferBatchBits(xs)
-		for s, x := range xs {
-			want := ref.Infer(x)
-			for i, v := range want.Data() {
-				if got[s].Data()[i] != v {
-					t.Fatalf("trial %d (n=%d) sample %d logit %d: batch %v, serial %v",
-						trial, n, s, i, got[s].Data()[i], v)
-				}
-			}
+	for _, name := range []string{"MLP-S", "CNN-S"} {
+		m, err := NewModel(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := m.CloneShared()
+		for trial, n := range []int{64, 5, 64, 1, 17, 64, 2} {
+			checkBatchMatches(t, m, ref, n, int64(trial))
 		}
 	}
 }

@@ -52,6 +52,7 @@ func Map[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) 
 
 	var (
 		next   atomic.Int64
+		ids    atomic.Int64
 		mu     sync.Mutex
 		firstI = -1
 		firstE error
@@ -66,31 +67,37 @@ func Map[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) 
 		mu.Unlock()
 		failed.Store(true)
 	}
+	// One argument-free closure serves every worker, each drawing its
+	// id on entry: a go statement with arguments would allocate a
+	// closure per worker, making the call's allocation count depend on
+	// the worker count (and so on GOMAXPROCS when workers < 1).
+	work := func() {
+		defer wg.Done()
+		w := int(ids.Add(1)) - 1
+		for {
+			// Check the failure flag BEFORE drawing an index: a drawn
+			// index always executes, so the monotonically increasing
+			// counter guarantees the lowest failing index is always
+			// attempted and recorded, keeping the returned error
+			// deterministic under any scheduling.
+			if failed.Load() {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			r, err := fn(w, i)
+			if err != nil {
+				record(i, err)
+				return
+			}
+			out[i] = r
+		}
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				// Check the failure flag BEFORE drawing an index: a drawn
-				// index always executes, so the monotonically increasing
-				// counter guarantees the lowest failing index is always
-				// attempted and recorded, keeping the returned error
-				// deterministic under any scheduling.
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, err := fn(w, i)
-				if err != nil {
-					record(i, err)
-					return
-				}
-				out[i] = r
-			}
-		}(w)
+		go work()
 	}
 	wg.Wait()
 	if firstE != nil {
@@ -268,8 +275,10 @@ func (e *Engine) runChunks(xs []*tensor.Float, sink func(lo int, ys []*tensor.Fl
 		}
 		m := e.model(w)
 		if hi-lo == 1 {
-			// A lone sample gains nothing from the batch path; run the
-			// per-sample reference directly.
+			// A lone sample runs the per-sample reference: the batch
+			// path matches it on the MLPs, but the CNNs' binary
+			// convolutions gather a word per patch element whatever the
+			// lane count, which costs 2.3× Infer at one lane.
 			y := m.Infer(e.shaped(xs[lo]))
 			sink(lo, []*tensor.Float{y})
 			return struct{}{}, nil

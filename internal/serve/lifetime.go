@@ -193,7 +193,10 @@ type lifetime struct {
 
 	// dead is closed when every replica is retired and no fallback
 	// exists — the batcher fails batches instead of blocking forever.
-	dead        chan struct{}
+	dead chan struct{}
+	// gone[r] is closed when replica r retires, so the batcher stops
+	// dealing it batches.
+	gone        []chan struct{}
 	hasFallback bool
 
 	draining       atomic.Int64 // replicas currently out of rotation recalibrating
@@ -210,12 +213,14 @@ func newLifetime(cfg *LifetimeConfig, workers int) *lifetime {
 		active:      workers,
 		alive:       workers,
 		dead:        make(chan struct{}),
+		gone:        make([]chan struct{}, workers),
 		hasFallback: cfg.Fallback != nil,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	for i := range l.reps {
 		l.reps[i].state = repActive
 		l.reps[i].health = newHealthWindow(cfg.Floor, cfg.Window, cfg.FlagAfter)
+		l.gone[i] = make(chan struct{})
 	}
 	return l
 }
@@ -264,6 +269,7 @@ func (l *lifetime) setState(id int, state string) {
 		l.active++
 	}
 	if state == repRetired {
+		close(l.gone[id])
 		l.alive--
 		if l.alive == 0 && !l.hasFallback {
 			close(l.dead) // no consumer will ever return: fail open loudly

@@ -67,6 +67,9 @@ type Config struct {
 	// Workers is the number of batch executors, each owning an
 	// independent backend replica (default 1). More than one worker
 	// lets batches overlap, at the cost of out-of-order completion.
+	// In lifetime mode batches are dealt to the replicas round-robin,
+	// so each replica's batches (and with them its ageing, canary
+	// probes and recalibrations) follow from the request stream alone.
 	Workers int
 	// Pricer, when non-nil, prices every served batch on the simulated
 	// accelerator (see NewPricer).
@@ -160,7 +163,8 @@ type Server struct {
 	cfg       Config
 	inputSize int
 	queue     chan *request
-	batches   chan batchJob
+	batches   chan batchJob   // shared by the workers; the fallback's only, in lifetime mode
+	dealt     []chan batchJob // per-replica batches, in lifetime mode
 	replicas  []Replica
 	fallback  Replica   // software fail-open replica (lifetime mode)
 	life      *lifetime // nil unless Config.Lifetime is set
@@ -168,6 +172,8 @@ type Server struct {
 	tr        *serveTrace // nil unless Config.Trace is set
 	reqSeq    atomic.Int64
 	batchSeq  int64 // owned by the batcher goroutine
+	dealing   []int // replicas still in the lifetime deal; owned by the batcher
+	dealPos   int   // index into dealing of the next replica to serve
 
 	mu      sync.Mutex // guards closed and the queue close
 	closed  bool
@@ -220,6 +226,11 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.life = newLifetime(cfg.Lifetime, cfg.Workers)
+		s.dealt = make([]chan batchJob, cfg.Workers)
+		for w := range s.dealt {
+			s.dealt[w] = make(chan batchJob)
+			s.dealing = append(s.dealing, w)
+		}
 	}
 	if cfg.Trace != nil {
 		s.tr = newServeTrace(cfg.Trace, cfg.Backend.Name(), cfg.Workers,
@@ -364,6 +375,9 @@ func (s *Server) Stats() Snapshot {
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	defer close(s.batches)
+	for _, c := range s.dealt {
+		defer close(c)
+	}
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -430,27 +444,53 @@ func (s *Server) batchLoop() {
 }
 
 // dispatch stamps the batch sequence number and hands the batch off.
-// In lifetime mode, when the last replica retires with no fallback the
-// dead channel fires and batches fail with ErrNoHealthyReplica instead
-// of blocking the batcher forever.
 func (s *Server) dispatch(batch []*request) {
 	job := batchJob{seq: s.batchSeq, reqs: batch}
 	s.batchSeq++
 	if s.life != nil {
-		select {
-		case <-s.life.dead:
-			s.failBatch(batch, ErrNoHealthyReplica)
-			return
-		default:
-		}
-		select {
-		case s.batches <- job:
-		case <-s.life.dead:
-			s.failBatch(batch, ErrNoHealthyReplica)
-		}
+		s.deal(job)
 		return
 	}
 	s.batches <- job
+}
+
+// deal hands a lifetime-mode batch to the next replica in round-robin
+// order, waiting for it to finish its previous batch and lifecycle
+// step, so replica r serves a fixed subsequence of the batches. A
+// replica that retires instead of taking the batch leaves the deal
+// for good; retirement, too, follows from the replica's own batches.
+// The fail-open fallback takes the batch instead whenever it is
+// waiting (no replica in rotation), which wall-clock timing decides.
+// When the last replica retires with no fallback, the dead channel
+// fires and batches fail with ErrNoHealthyReplica instead of blocking
+// the batcher forever.
+func (s *Server) deal(job batchJob) {
+	l := s.life
+	for {
+		var (
+			next chan batchJob // nil, never ready, once every replica retired
+			gone <-chan struct{}
+		)
+		if len(s.dealing) > 0 {
+			r := s.dealing[s.dealPos]
+			next, gone = s.dealt[r], l.gone[r]
+		}
+		select {
+		case next <- job:
+			s.dealPos = (s.dealPos + 1) % len(s.dealing)
+			return
+		case <-gone:
+			s.dealing = append(s.dealing[:s.dealPos], s.dealing[s.dealPos+1:]...)
+			if s.dealPos == len(s.dealing) {
+				s.dealPos = 0
+			}
+		case s.batches <- job:
+			return
+		case <-l.dead:
+			s.failBatch(job.reqs, ErrNoHealthyReplica)
+			return
+		}
+	}
 }
 
 // failBatch answers every request of an undeliverable batch.
@@ -485,7 +525,11 @@ func (s *Server) workLoop(id int, rep Replica) {
 		xs    []*tensor.Float
 		preds []Prediction
 	)
-	for job := range s.batches {
+	jobs := s.batches
+	if s.life != nil {
+		jobs = s.dealt[id]
+	}
+	for job := range jobs {
 		s.serveBatch(id, rep, job, &xs, &preds, false)
 		if s.life != nil && s.life.afterBatch(id, rep, len(job.reqs)) {
 			return // retired
