@@ -203,7 +203,21 @@ func run(args []string, out io.Writer) error {
 	defer s.Stop()
 	fmt.Fprintf(out, "ebserve: %s on %s (design %v, max-batch %d, max-wait %v) listening on %s\n",
 		o.network, s.Stats().Backend, design, o.maxBatch, o.maxWait, o.addr)
-	return http.ListenAndServe(o.addr, s.Handler())
+	return listenAndServe(o.addr, s.Handler())
+}
+
+// listenAndServe serves h on addr with fixed timeouts, so a slow or
+// idle client cannot hold a connection open indefinitely.
+func listenAndServe(addr string, h http.Handler) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+	return srv.ListenAndServe()
 }
 
 // runMultiModel serves several co-located networks behind the router.
@@ -222,7 +236,7 @@ func runMultiModel(o options, design arch.Design, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  fabric: %.0f inf/s aggregate, fairness %.4f, interference wait %.2f us; listening on %s\n",
 		fabric.AggregatePerSec, fabric.FairnessJain, fabric.InterferenceWaitNs/1e3, o.addr)
-	return http.ListenAndServe(o.addr, router.Handler())
+	return listenAndServe(o.addr, router.Handler())
 }
 
 // buildRouter co-locates the -models networks on one fabric and wires

@@ -86,7 +86,6 @@ var deadcodeAllow = map[string]string{
 	// keeps, are their only callers. Delete each with its tests.
 	"internal/arch.Config.Index":                               "(f) TestVCoreIndexRoundTrip, TestVCoreIndexErrors",
 	"internal/arch.Config.VCoreByIndex":                        "(f) TestVCoreIndexRoundTrip, TestVCoreIndexErrors, TestVCoreByIndexStructure",
-	"internal/arch.Config.WeightCapacityBits":                  "(f) TestHierarchyCounts",
 	"internal/bitops.BipolarDot":                               "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.Concat":                                   "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.FromBipolar":                              "(f) bitops vector, matrix, flat and blit tests",
@@ -117,8 +116,6 @@ var deadcodeAllow = map[string]string{
 	"internal/bitops.Vector.XorInto":                           "(f) bitops vector, matrix, flat and blit tests",
 	"internal/compiler.Lowered.Config":                         "(f) TestLoweredAccessors",
 	"internal/compiler.Lowered.Demands":                        "(f) TestLoweredAccessors",
-	"internal/core.CustMapped.Weights":                         "(f) TestWeightsRoundTrip",
-	"internal/core.TacitMapped.Weights":                        "(f) TestWeightsRoundTrip",
 	"internal/crossbar.Array.ADCStepsPerVMM":                   "(f) TestADCStepsPerVMM",
 	"internal/crossbar.Array.ColumnMap":                        "(f) column-repair tests",
 	"internal/crossbar.Array.MaxPopcountError":                 "(f) TestMaxPopcountErrorBound; repair",
@@ -133,9 +130,6 @@ var deadcodeAllow = map[string]string{
 	"internal/device.OPCMParams.SeparationSNR":                 "(f) oPCM device tests",
 	"internal/energy.ReprogramCost.Add":                        "(f) TestReprogramForTechDispatchAndAdd",
 	"internal/energy.ReprogramCost.TotalWrites":                "(f) TestReprogramForTechDispatchAndAdd",
-	"internal/isa.Decode":                                      "(f) ISA codec and assembler tests",
-	"internal/isa.Parse":                                       "(f) ISA codec and assembler tests",
-	"internal/isa.Program.Encode":                              "(f) ISA codec and assembler tests",
 	"internal/photonics.DefaultRing":                           "(f) microring tests",
 	"internal/photonics.NewReceiver":                           "(f) WDM frame and receiver tests",
 	"internal/photonics.Receiver.Demodulate":                   "(f) WDM frame and receiver tests",

@@ -141,12 +141,6 @@ func (c Config) MeshWidth() int {
 // CellsPerVCore returns the device count of one crossbar.
 func (c Config) CellsPerVCore() int { return c.CrossbarRows * c.CrossbarCols }
 
-// WeightCapacityBits returns how many TacitMap-mapped binary weight
-// bits the machine can hold: each bit uses two cells ([w;¬w]).
-func (c Config) WeightCapacityBits() int64 {
-	return int64(c.TotalVCores()) * int64(c.CellsPerVCore()) / 2
-}
-
 // ADCRoundsPerVMM returns the serial conversion rounds per VMM.
 func (c Config) ADCRoundsPerVMM() int { return c.ColumnsPerADC }
 

@@ -66,10 +66,6 @@ func TestHierarchyCounts(t *testing.T) {
 	if c.MeshWidth() != 4 {
 		t.Fatalf("MeshWidth = %d", c.MeshWidth())
 	}
-	wantBits := int64(4096) * 65536 / 2
-	if c.WeightCapacityBits() != wantBits {
-		t.Fatalf("WeightCapacityBits = %d, want %d", c.WeightCapacityBits(), wantBits)
-	}
 }
 
 func TestEffectiveK(t *testing.T) {

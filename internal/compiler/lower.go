@@ -117,7 +117,7 @@ func (lw *Lowered) compile(opts Options) (*Compiled, error) {
 	if placer == nil {
 		placer = GreedyPlacer{}
 	}
-	region := FullFabric(lw.cfg)
+	region := fullFabric(lw.cfg)
 	if opts.Region != nil {
 		region = *opts.Region
 	}

@@ -31,9 +31,9 @@ type Region struct {
 	X0, Y0, W, H int
 }
 
-// FullFabric is the region covering every tile of every chip — the
+// fullFabric is the region covering every tile of every chip — the
 // default placement target of a single-model compile.
-func FullFabric(cfg arch.Config) Region {
+func fullFabric(cfg arch.Config) Region {
 	w := cfg.MeshWidth()
 	return Region{Chip: 0, Chips: cfg.Nodes, X0: 0, Y0: 0, W: w, H: ceilDiv(cfg.TilesPerNode, w)}
 }

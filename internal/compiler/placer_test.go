@@ -263,7 +263,7 @@ func TestShardPlacerSplitsAcrossChips(t *testing.T) {
 func TestRegionRelativeRoundTrip(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	for _, r := range []Region{
-		FullFabric(cfg),
+		fullFabric(cfg),
 		{Chip: 1, Chips: 2, X0: 1, Y0: 2, W: 3, H: 2},
 		{Chip: 3, Chips: 1, X0: 0, Y0: 0, W: 1, H: 1},
 	} {

@@ -73,32 +73,3 @@ func TestCompileProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestEncodeCompiledProperty: compiled programs survive the binary
-// codec byte-for-byte (comments aside).
-func TestEncodeCompiledProperty(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		model := randomMLP(rng)
-		c, err := Compile(model, cfg, arch.EinsteinBarrier)
-		if err != nil {
-			return false
-		}
-		decoded, err := isa.Decode(c.Program.Encode())
-		if err != nil || len(decoded) != len(c.Program) {
-			return false
-		}
-		for i := range decoded {
-			want := c.Program[i]
-			want.Comment = ""
-			if decoded[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -106,7 +106,7 @@ func (e *memoEvaluator) CachedScore(model string, design arch.Design, p *Placeme
 func TestSearchCachingBitIdentical(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	m := mustModel(t, "CNN-S")
-	region := FullFabric(cfg)
+	region := fullFabric(cfg)
 
 	place := func(ev Evaluator, workers int) (*Placement, SearchStats) {
 		sp, err := NewSearchPlacer(m, cfg, arch.EinsteinBarrier, ev, SearchOptions{Steps: 96, Seed: 7, Workers: workers})

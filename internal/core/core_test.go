@@ -334,25 +334,6 @@ func TestStatsContrast(t *testing.T) {
 	}
 }
 
-func TestWeightsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	weights := randomMatrix(rng, 12, 20)
-	tm, _ := MapTacit(weights, testArrayConfig(device.EPCM))
-	got := tm.Weights()
-	for r := 0; r < weights.Rows(); r++ {
-		if !got.Row(r).Equal(weights.Row(r)) {
-			t.Fatal("tacit Weights round trip failed")
-		}
-	}
-	cm, _ := MapCust(weights, testDiffConfig())
-	got = cm.Weights()
-	for r := 0; r < weights.Rows(); r++ {
-		if !got.Row(r).Equal(weights.Row(r)) {
-			t.Fatal("cust Weights round trip failed")
-		}
-	}
-}
-
 // TestCompactRect: the region-local layout helper returns the
 // squarest rectangle covering the tile count within the mesh width.
 func TestCompactRect(t *testing.T) {

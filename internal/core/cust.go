@@ -12,9 +12,8 @@ import (
 // Carries drive/sense scratch like TacitMapped; not safe for
 // concurrent use.
 type CustMapped struct {
-	plan    CustPlan
-	cfg     crossbar.DiffConfig
-	weights *bitops.Matrix
+	plan CustPlan
+	cfg  crossbar.DiffConfig
 	// arrays[rowTile][colTile]
 	arrays [][]*crossbar.DiffArray
 	// tileRows[rt] and tileCols[ct] are the occupied extents.
@@ -39,7 +38,6 @@ func MapCust(weights *bitops.Matrix, cfg crossbar.DiffConfig) (*CustMapped, erro
 	c := &CustMapped{
 		plan:     plan,
 		cfg:      cfg,
-		weights:  weights.Clone(),
 		arrays:   make([][]*crossbar.DiffArray, plan.RowTiles),
 		tileRows: make([]int, plan.RowTiles),
 		tileCols: make([]int, plan.ColTiles),
@@ -84,9 +82,6 @@ func MapCust(weights *bitops.Matrix, cfg crossbar.DiffConfig) (*CustMapped, erro
 
 // Plan returns the tiling geometry.
 func (c *CustMapped) Plan() CustPlan { return c.plan }
-
-// Weights returns a clone of the logical weight matrix.
-func (c *CustMapped) Weights() *bitops.Matrix { return c.weights.Clone() }
 
 // Execute performs the full XNOR+Popcount pass for input x: for every
 // weight vector, one word-line activation per column tile, PCSA sensing

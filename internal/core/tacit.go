@@ -16,9 +16,8 @@ import (
 // steady-state heap allocations. Consequently a TacitMapped is not safe
 // for concurrent use.
 type TacitMapped struct {
-	plan    TacitPlan
-	cfg     crossbar.Config
-	weights *bitops.Matrix // n×m logical weights, kept for reference
+	plan TacitPlan
+	cfg  crossbar.Config
 	// arrays[rowTile][colTile]
 	arrays [][]*crossbar.Array
 	// tileBits[rowTile] is the number of weight bits the tile holds.
@@ -45,7 +44,6 @@ func MapTacit(weights *bitops.Matrix, cfg crossbar.Config) (*TacitMapped, error)
 	t := &TacitMapped{
 		plan:     plan,
 		cfg:      cfg,
-		weights:  weights.Clone(),
 		arrays:   make([][]*crossbar.Array, plan.RowTiles),
 		tileBits: make([]int, plan.RowTiles),
 		drive:    bitops.NewVector(cfg.Rows),
@@ -93,9 +91,6 @@ func MapTacit(weights *bitops.Matrix, cfg crossbar.Config) (*TacitMapped, error)
 
 // Plan returns the tiling geometry.
 func (t *TacitMapped) Plan() TacitPlan { return t.plan }
-
-// Weights returns a clone of the logical weight matrix.
-func (t *TacitMapped) Weights() *bitops.Matrix { return t.weights.Clone() }
 
 // driveInto builds the [x_slice ; ¬x_slice] row drive for tile rt into
 // drive, zero-padded to the physical row count (undriven rows

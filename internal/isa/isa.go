@@ -13,7 +13,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -58,14 +57,6 @@ var opNames = map[Opcode]string{
 	OpSend: "SEND", OpSync: "SYNC", OpHalt: "HALT",
 }
 
-var opByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(opNames))
-	for op, n := range opNames {
-		m[n] = op
-	}
-	return m
-}()
-
 // String implements fmt.Stringer.
 func (o Opcode) String() string {
 	if n, ok := opNames[o]; ok {
@@ -106,12 +97,11 @@ type Instruction struct {
 	// "unplaced" — legacy and greedy-placed programs leave them unset.
 	// Dst 0 on a placed SEND means the transfer leaves the region (host
 	// egress; ChipHops carries the chip distance). The operands make
-	// placed programs self-describing in dumps, assembly and the wire
-	// encoding; the simulator itself schedules from the richer
-	// Compiled.Placement structure rather than re-deriving routes from
-	// these.
+	// placed programs self-describing in program dumps; the simulator
+	// itself schedules from the richer Compiled.Placement structure
+	// rather than re-deriving routes from these.
 	Src, Dst int
-	// Comment is free-form annotation (layer name), not encoded.
+	// Comment is free-form annotation (layer name).
 	Comment string
 }
 
@@ -245,150 +235,4 @@ func (p Program) Sections() []Section {
 		out = append(out, Section{Ins: p[start:]})
 	}
 	return out
-}
-
-// --- binary encoding ----------------------------------------------------
-
-// Encode serializes the program (without comments) as a compact byte
-// stream: per instruction, the opcode byte followed by thirteen varints.
-func (p Program) Encode() []byte {
-	var out []byte
-	var buf [binary.MaxVarintLen64]byte
-	putv := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		out = append(out, buf[:n]...)
-	}
-	for _, in := range p {
-		out = append(out, byte(in.Op))
-		putv(int64(in.Tiles))
-		putv(int64(in.K))
-		putv(int64(in.Bits))
-		putv(in.Count)
-		putv(in.Repeat)
-		putv(in.Convs)
-		putv(in.DACs)
-		putv(in.Cells)
-		putv(in.Bytes)
-		putv(int64(in.Hops))
-		putv(int64(in.ChipHops))
-		putv(int64(in.Src))
-		putv(int64(in.Dst))
-	}
-	return out
-}
-
-// Decode parses a byte stream produced by Encode.
-func Decode(data []byte) (Program, error) {
-	var p Program
-	i := 0
-	for i < len(data) {
-		var in Instruction
-		in.Op = Opcode(data[i])
-		if _, ok := opNames[in.Op]; !ok {
-			return nil, fmt.Errorf("isa: bad opcode %d at offset %d", data[i], i)
-		}
-		i++
-		read := func() (int64, error) {
-			v, n := binary.Varint(data[i:])
-			if n <= 0 {
-				return 0, fmt.Errorf("isa: truncated varint at offset %d", i)
-			}
-			i += n
-			return v, nil
-		}
-		ints := []*int{&in.Tiles, &in.K, &in.Bits}
-		var err error
-		var v int64
-		for _, dst := range ints {
-			if v, err = read(); err != nil {
-				return nil, err
-			}
-			*dst = int(v)
-		}
-		for _, dst := range []*int64{&in.Count, &in.Repeat, &in.Convs, &in.DACs, &in.Cells, &in.Bytes} {
-			if v, err = read(); err != nil {
-				return nil, err
-			}
-			*dst = v
-		}
-		for _, dst := range []*int{&in.Hops, &in.ChipHops, &in.Src, &in.Dst} {
-			if v, err = read(); err != nil {
-				return nil, err
-			}
-			*dst = int(v)
-		}
-		p = append(p, in)
-	}
-	return p, nil
-}
-
-// --- text assembler ------------------------------------------------------
-
-// Parse assembles the textual form produced by Program.String (and
-// hand-written assembly): one instruction per line, `OP key=value ...`,
-// with `;` starting a comment and blank lines ignored.
-func Parse(src string) (Program, error) {
-	var p Program
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
-		var comment string
-		if idx := strings.Index(line, ";"); idx >= 0 {
-			comment = strings.TrimSpace(line[idx+1:])
-			line = line[:idx]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		op, ok := opByName[strings.ToUpper(fields[0])]
-		if !ok {
-			return nil, fmt.Errorf("isa: line %d: unknown opcode %q", lineNo+1, fields[0])
-		}
-		in := Instruction{Op: op, Comment: comment}
-		for _, f := range fields[1:] {
-			kv := strings.SplitN(f, "=", 2)
-			if len(kv) != 2 {
-				return nil, fmt.Errorf("isa: line %d: bad operand %q", lineNo+1, f)
-			}
-			var v int64
-			if _, err := fmt.Sscanf(kv[1], "%d", &v); err != nil {
-				return nil, fmt.Errorf("isa: line %d: bad value in %q", lineNo+1, f)
-			}
-			switch strings.ToLower(kv[0]) {
-			case "tiles":
-				in.Tiles = int(v)
-			case "k":
-				in.K = int(v)
-			case "bits":
-				in.Bits = int(v)
-			case "count":
-				in.Count = v
-			case "repeat":
-				in.Repeat = v
-			case "convs":
-				in.Convs = v
-			case "dacs":
-				in.DACs = v
-			case "cells":
-				in.Cells = v
-			case "bytes":
-				in.Bytes = v
-			case "hops":
-				in.Hops = int(v)
-			case "chiphops":
-				in.ChipHops = int(v)
-			case "src":
-				in.Src = int(v)
-			case "dst":
-				in.Dst = int(v)
-			default:
-				return nil, fmt.Errorf("isa: line %d: unknown operand %q", lineNo+1, kv[0])
-			}
-		}
-		p = append(p, in)
-	}
-	if len(p) == 0 {
-		return nil, fmt.Errorf("isa: no instructions")
-	}
-	return p, nil
 }

@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sampleProgram() Program {
@@ -72,106 +71,6 @@ func TestProgramValidateStructure(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := sampleProgram()
-	decoded, err := Decode(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != len(p) {
-		t.Fatalf("decoded %d instructions, want %d", len(decoded), len(p))
-	}
-	for i := range p {
-		want := p[i]
-		want.Comment = "" // comments are not encoded
-		if decoded[i] != want {
-			t.Fatalf("instruction %d: %s != %s", i, decoded[i], want)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte{255}); err == nil {
-		t.Fatal("bad opcode should fail")
-	}
-	// Valid opcode but truncated operands.
-	if _, err := Decode([]byte{byte(OpMVM), 2}); err == nil {
-		t.Fatal("truncated stream should fail")
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	p := sampleProgram()
-	parsed, err := Parse(p.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != len(p) {
-		t.Fatalf("parsed %d, want %d", len(parsed), len(p))
-	}
-	for i := range p {
-		if parsed[i] != p[i] {
-			t.Fatalf("instruction %d: %q != %q", i, parsed[i].String(), p[i].String())
-		}
-	}
-}
-
-func TestParseHandwritten(t *testing.T) {
-	src := `
-		mvm tiles=2 repeat=10 ; layer one
-		add count=5
-
-		HALT
-	`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 3 || p[0].Op != OpMVM || p[0].Tiles != 2 || p[0].Comment != "layer one" {
-		t.Fatalf("parsed %v", p)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"",              // empty
-		"BOGUS tiles=1", // unknown opcode
-		"MVM tiles",     // malformed operand
-		"MVM tiles=x",   // bad value
-		"MVM wibble=3",  // unknown operand
-	}
-	for i, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Fatalf("case %d (%q): expected parse error", i, src)
-		}
-	}
-}
-
-// Property: encode/decode is lossless for arbitrary non-negative
-// operand combinations.
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(tiles, k, bits uint8, count, repeat, convs, dacs, cells, bytes uint16, hops, chip uint8) bool {
-		in := Instruction{
-			Op: OpMMM, Tiles: int(tiles), K: int(k), Bits: int(bits),
-			Count: int64(count), Repeat: int64(repeat), Convs: int64(convs),
-			DACs: int64(dacs), Cells: int64(cells), Bytes: int64(bytes),
-			Hops: int(hops), ChipHops: int(chip),
-		}
-		p := Program{in}
-		out, err := Decode(p.Encode())
-		if err != nil || len(out) != 1 {
-			return false
-		}
-		return out[0] == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStringContainsOperands(t *testing.T) {
 	in := Instruction{Op: OpMMM, Tiles: 3, K: 16, Repeat: 7, Comment: "note"}
 	s := in.String()
@@ -219,8 +118,7 @@ func TestSections(t *testing.T) {
 }
 
 // TestRegionRelativeOperands covers the placement IR's SEND operands:
-// src/dst survive String→Parse and Encode→Decode, render only when
-// set, and negatives are rejected.
+// src/dst render only when set, and negatives are rejected.
 func TestRegionRelativeOperands(t *testing.T) {
 	p := Program{
 		{Op: OpSend, Bytes: 64, Hops: 3, ChipHops: 2, Src: 5, Dst: 12, Comment: "fc0/gather"},
@@ -236,22 +134,6 @@ func TestRegionRelativeOperands(t *testing.T) {
 	}
 	if strings.Contains(strings.Split(text, "\n")[1], "dst=") {
 		t.Fatalf("zero dst must not render:\n%s", text)
-	}
-	parsed, err := Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed[0].Src != 5 || parsed[0].Dst != 12 || parsed[1].Src != 7 || parsed[1].Dst != 0 {
-		t.Fatalf("parse lost operands: %+v", parsed[:2])
-	}
-	decoded, err := Decode(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p {
-		if decoded[i].Src != p[i].Src || decoded[i].Dst != p[i].Dst {
-			t.Fatalf("encode/decode lost operands at %d: %+v", i, decoded[i])
-		}
 	}
 	bad := Instruction{Op: OpSend, Bytes: 1, Src: -1}
 	if err := bad.Validate(); err == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -48,8 +49,9 @@ type errorBody struct {
 //	GET  /healthz — liveness + backend identity
 //
 // Overload (a shed request) maps to 503 with Retry-After, malformed
-// input to 400 — load shedding is part of the API contract, not an
-// internal failure.
+// input (trailing data included) to 400, and an /infer body over
+// maxInferBody to 413 — load shedding is part of the API contract, not
+// an internal failure.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /infer", s.handleInfer)
@@ -67,11 +69,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxInferBody is the /infer body limit for a backend of n input
+// elements: 4 KiB for the envelope plus 32 bytes per element (the
+// shortest float64 text and its comma take at most 25).
+func maxInferBody(n int) int64 { return 4096 + 32*int64(n) }
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody(s.inputSize)))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is exactly one JSON value: only whitespace may follow.
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}

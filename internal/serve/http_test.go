@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -75,22 +76,32 @@ func TestHTTPInferHappyPath(t *testing.T) {
 func TestHTTPInferErrors(t *testing.T) {
 	s := httpServer(t)
 	h := s.Handler()
+	valid, _ := json.Marshal(InferRequest{Input: make([]float64, 784)})
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
 	}{
-		"bad json":      {http.MethodPost, "/infer", "{nope", http.StatusBadRequest},
-		"unknown field": {http.MethodPost, "/infer", `{"inputs":[1]}`, http.StatusBadRequest},
-		"empty input":   {http.MethodPost, "/infer", `{"input":[]}`, http.StatusBadRequest},
-		"wrong size":    {http.MethodPost, "/infer", `{"input":[1,2,3]}`, http.StatusBadRequest},
-		"wrong method":  {http.MethodGet, "/infer", "", http.StatusMethodNotAllowed},
-		"unknown path":  {http.MethodGet, "/nope", "", http.StatusNotFound},
+		"bad json":            {http.MethodPost, "/infer", "{nope", http.StatusBadRequest},
+		"unknown field":       {http.MethodPost, "/infer", `{"inputs":[1]}`, http.StatusBadRequest},
+		"empty input":         {http.MethodPost, "/infer", `{"input":[]}`, http.StatusBadRequest},
+		"wrong size":          {http.MethodPost, "/infer", `{"input":[1,2,3]}`, http.StatusBadRequest},
+		"trailing data":       {http.MethodPost, "/infer", string(valid) + " junk", http.StatusBadRequest},
+		"trailing value":      {http.MethodPost, "/infer", string(valid) + "{}", http.StatusBadRequest},
+		"trailing whitespace": {http.MethodPost, "/infer", string(valid) + " \n\t", http.StatusOK},
+		"oversized body":      {http.MethodPost, "/infer", oversizedBody(), http.StatusRequestEntityTooLarge},
+		"wrong method":        {http.MethodGet, "/infer", "", http.StatusMethodNotAllowed},
+		"unknown path":        {http.MethodGet, "/nope", "", http.StatusNotFound},
 	} {
 		rec, _ := doJSON(t, h, tc.method, tc.path, tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", name, rec.Code, tc.want)
 		}
 	}
+}
+
+// oversizedBody is a well-formed /infer body past MLP-S's limit.
+func oversizedBody() string {
+	return `{"input":[` + strings.Repeat("0,", int(maxInferBody(784))/2) + `0]}`
 }
 
 func TestHTTPStatsAndHealthz(t *testing.T) {
@@ -212,4 +223,42 @@ func TestHTTPServiceUnavailableWhenStopped(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || out["status"] != "stopped" {
 		t.Fatalf("healthz on stopped server: %d %v", rec.Code, out)
 	}
+}
+
+// FuzzInferHandler feeds arbitrary bodies to POST /infer. The handler
+// answers only 200, 400, 413 or 503 — never 500, never a panic — and,
+// once the server has stopped, its Completed count equals the number of
+// 200 replies.
+func FuzzInferHandler(f *testing.F) {
+	model := zooModel(f, "MLP-S")
+	backend, err := NewSoftwareBackend(model, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, _ := json.Marshal(InferRequest{Input: make([]float64, 784)})
+	f.Add(valid)
+	f.Add(append(valid, " junk"...))
+	f.Add([]byte(oversizedBody()))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(Config{Backend: backend, MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)))
+		s.Stop()
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		ok := int64(0)
+		if rec.Code == http.StatusOK {
+			ok = 1
+		}
+		if got := s.Stats().Completed; got != ok {
+			t.Fatalf("Completed = %d after %d 200 replies", got, ok)
+		}
+	})
 }

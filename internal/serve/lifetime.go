@@ -33,17 +33,16 @@ type Clock interface {
 }
 
 // BatchClock is the deterministic work-driven clock: every batch costs
-// SecondsPerBatch plus SecondsPerSample per sample, so total simulated
-// age is an exact function of served sample count regardless of how the
-// batcher formed batches.
+// SecondsPerSample per sample, so total simulated age is an exact
+// function of served sample count regardless of how the batcher formed
+// batches.
 type BatchClock struct {
-	SecondsPerBatch  float64
 	SecondsPerSample float64
 }
 
 // Tick implements Clock.
 func (c BatchClock) Tick(n int) float64 {
-	return c.SecondsPerBatch + float64(n)*c.SecondsPerSample
+	return float64(n) * c.SecondsPerSample
 }
 
 // LifetimeConfig switches the server into device-lifetime mode.

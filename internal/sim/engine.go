@@ -489,11 +489,7 @@ func (e *Engine) configure(c *compiler.Compiled) error {
 	}
 	pl := c.Placement
 	if pl == nil {
-		// Pre-placement-IR compilations: derive the legacy greedy layout
-		// from the allocation.
-		if pl, err = fallbackPlacement(c, cfg); err != nil {
-			return err
-		}
+		return fmt.Errorf("sim: compiled %s has no placement", c.ModelName)
 	}
 	if err := pl.Validate(cfg); err != nil {
 		return err
@@ -631,19 +627,6 @@ func growF64(s []float64, n int) []float64 {
 		return s[:n]
 	}
 	return make([]float64, n)
-}
-
-// fallbackPlacement reconstructs the greedy layout from a compilation's
-// allocation, for Compileds built without the placement IR.
-func fallbackPlacement(c *compiler.Compiled, cfg arch.Config) (*compiler.Placement, error) {
-	var demands []compiler.LayerDemand
-	for _, a := range c.Allocs {
-		if a.Kind == "shape" {
-			continue
-		}
-		demands = append(demands, compiler.LayerDemand{Name: a.Name, VCores: a.VCores, Bytes: 1})
-	}
-	return compiler.GreedyPlacer{}.Place(demands, cfg, compiler.FullFabric(cfg))
 }
 
 // linkBuilder accumulates the deduplicated link and chip-port sets of

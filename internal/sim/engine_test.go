@@ -147,6 +147,16 @@ func TestEngineOccupancy(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsUnplaced: the engine schedules from the placement
+// IR, so a compilation without one is an error, as in both evaluators.
+func TestEngineRejectsUnplaced(t *testing.T) {
+	unplaced := *compiled(t, "MLP-S", arch.EinsteinBarrier)
+	unplaced.Placement = nil
+	if _, err := newSim(t).NewEngine(&unplaced); err == nil {
+		t.Fatal("NewEngine accepted a compilation without a placement")
+	}
+}
+
 // TestEngineDeterministic: same compilation, same batch — same numbers,
 // including across engine reuse.
 func TestEngineDeterministic(t *testing.T) {
