@@ -648,12 +648,14 @@ func BenchmarkServe(b *testing.B) {
 
 // BenchmarkLifetime measures the device-lifetime machinery. Probe is
 // the steady-state hot path the loop adds to serving — one canary
-// evaluation of a hardware replica — and is per-op stable, so it is
-// the gated entry. The Loop/* sub-benchmarks run the whole
-// detect/drain/recalibrate/return cycle end to end; their per-request
-// cost depends on how many recalibrations b.N happens to trigger, so
-// they are smoke-only (recals and recal-pJ report the repair work the
-// stream triggered at the configured wear rate).
+// evaluation of a hardware replica — and Age is the drift step every
+// served batch pays (one AgeAll over the replica's mapped tiles); both
+// are per-op stable, so they are the gated entries. The Loop/*
+// sub-benchmarks run the whole detect/drain/recalibrate/return cycle
+// end to end; their per-request cost depends on how many
+// recalibrations b.N happens to trigger, so they are smoke-only (recals
+// and recal-pJ report the repair work the stream triggered at the
+// configured wear rate).
 func BenchmarkLifetime(b *testing.B) {
 	model, err := bnn.NewModel("MLP-S", 1)
 	if err != nil {
@@ -682,6 +684,17 @@ func BenchmarkLifetime(b *testing.B) {
 			if _, err := canary.Evaluate(rep); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	b.Run("Age/MLP-S", func(b *testing.B) {
+		replica, err := robust.Map(model, hw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			replica.AgeAll(1)
 		}
 	})
 

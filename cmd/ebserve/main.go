@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -323,6 +324,10 @@ func buildServer(o options, model *bnn.Model, design arch.Design, eng *sim.Engin
 	return serve.New(cfg)
 }
 
+// finitePositive reports whether v is a finite number above zero (NaN
+// and +Inf get past a plain v <= 0 check).
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // runLifetimeMode drives the device-lifetime scenario — the dynamic
 // counterpart of the Fig. 8 robustness statics: replicas always serve
 // on simulated ePCM crossbars (the drifting technology), while the
@@ -331,8 +336,8 @@ func runLifetimeMode(o options, design arch.Design, out io.Writer) error {
 	if o.requests <= 0 {
 		return fmt.Errorf("-lifetime needs -requests > 0, got %d", o.requests)
 	}
-	if o.lifetimes <= 0 || o.driftHorizon <= 0 {
-		return fmt.Errorf("-lifetimes %g and -drift-horizon %g must be > 0", o.lifetimes, o.driftHorizon)
+	if !finitePositive(o.lifetimes) || !finitePositive(o.driftHorizon) {
+		return fmt.Errorf("-lifetimes %g and -drift-horizon %g must be finite and > 0", o.lifetimes, o.driftHorizon)
 	}
 	hw := robust.DefaultConfig(device.EPCM)
 	hw.Array.Seed = o.seed + 6

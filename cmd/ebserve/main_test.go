@@ -83,6 +83,10 @@ func TestFlagErrors(t *testing.T) {
 		"csv with json (loadgen)":  {"-loadgen", "-rate", "4000", "-requests", "10", "-csv", "-json"},
 		"csv with json (maxbatch)": {"-loadgen", "-sweep-maxbatch", "1", "-requests", "10", "-csv", "-json"},
 		"csv with json (lifetime)": {"-lifetime", "-requests", "10", "-csv", "-json"},
+		"NaN drift horizon":        {"-lifetime", "-drift-horizon", "NaN", "-requests", "24", "-json"},
+		"infinite drift horizon":   {"-lifetime", "-drift-horizon", "Inf", "-requests", "24"},
+		"NaN lifetimes":            {"-lifetime", "-lifetimes", "NaN", "-requests", "24"},
+		"infinite lifetimes":       {"-lifetime", "-lifetimes", "+Inf", "-requests", "24"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run(%v) succeeded, want error", name, args)

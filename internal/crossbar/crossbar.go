@@ -136,9 +136,10 @@ func (s *Stats) Add(other Stats) {
 //	sig  — the deterministic per-read signal in amperes: the drifted
 //	       read current G·V for ePCM, the photocurrent P·R·t0 for oPCM.
 //
-// Drift is folded into sig when Age advances (one math.Pow per RESET
-// cell per Age call) instead of being recomputed on every read; the
-// per-read noise draws are applied on top of sig in the VMM loops.
+// Drift is folded into sig when Age advances (one math.Pow per
+// distinct cell age per Age call) instead of being recomputed on every
+// read; the per-read noise draws are applied on top of sig in the VMM
+// loops.
 //
 // An Array is not safe for concurrent use: it owns a private RNG and
 // reusable accumulation scratch.
@@ -268,24 +269,37 @@ func (a *Array) Reprogram() (setWrites, resetWrites int64) {
 
 // Age advances every cell's post-programming age (ePCM drift study).
 // The drift decay is folded into the signal plane here, once per Age
-// call, so reads stay a flat multiply-accumulate.
+// call, so reads stay a flat multiply-accumulate. Cells programmed
+// together share one age, so DriftFactor is evaluated once per
+// distinct age (a last-value memo) rather than once per RESET cell;
+// the product keeps the prog·f·v order, so sig is bit-identical to a
+// per-cell evaluation. It panics on a negative or NaN time.
 func (a *Array) Age(seconds float64) {
 	if a.cfg.Tech != device.EPCM {
 		return
 	}
-	if seconds < 0 {
-		panic("crossbar: negative ageing time")
+	if !(seconds >= 0) {
+		panic("crossbar: negative or NaN ageing time")
 	}
-	v := a.cfg.EPCM.ReadVoltage
-	idx := 0
+	p := &a.cfg.EPCM
+	v := p.ReadVoltage
+	one := math.Float64bits(1)
+	memoAge, f := -1.0, uint64(0) // ages are ≥ 0 and never NaN, so the first cell misses
 	for r := 0; r < a.rows; r++ {
 		row := a.effective.RowWords(r)
-		for c := 0; c < a.cols; c++ {
-			a.age[idx] += seconds
-			if row[c>>6]>>(uint(c)&63)&1 == 0 { // only RESET cells drift
-				a.sig[idx] = a.prog[idx] * a.cfg.EPCM.DriftFactor(a.age[idx]) * v
+		lo, hi := r*a.cols, (r+1)*a.cols
+		age, prog, sig := a.age[lo:hi], a.prog[lo:hi], a.sig[lo:hi]
+		for c := range age {
+			t := age[c] + seconds
+			age[c] = t
+			if t != memoAge {
+				memoAge, f = t, math.Float64bits(p.DriftFactor(t))
 			}
-			idx++
+			// Only RESET cells drift: a SET cell takes the factor 1,
+			// which leaves its prog·v signal bit-identical. The bit
+			// select keeps the loop free of a data-dependent branch.
+			set := -(row[c>>6] >> (uint(c) & 63) & 1)
+			sig[c] = prog[c] * math.Float64frombits(f&^set|one&set) * v
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -100,13 +101,17 @@ func TestAgedPlaneMatchesDriftedCells(t *testing.T) {
 }
 
 func TestNegativeAgePanics(t *testing.T) {
-	arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	arr.Age(-1)
+	for _, seconds := range []float64{-1, math.NaN(), math.Inf(-1)} {
+		func() {
+			arr, _ := NewArray(smallConfig(device.EPCM, true, 0))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Age(%g): expected panic", seconds)
+				}
+			}()
+			arr.Age(seconds)
+		}()
+	}
 }
 
 // Zero-allocation regression pins for the analog hot paths (ISSUE 2

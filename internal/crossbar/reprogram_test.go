@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -83,6 +84,40 @@ func TestReprogramResetsDriftAge(t *testing.T) {
 		if arr.age[i] != 0 {
 			t.Fatalf("slot %d: age %g not reset", i, arr.age[i])
 		}
+	}
+
+	// Age memoizes DriftFactor on the last age it saw. Fault injection
+	// re-programs the stuck cells, so two injections between ageing
+	// steps leave three age classes interleaved across the plane; every
+	// slot must still equal its own per-cell drift evaluation bit for
+	// bit.
+	arr.Age(30)
+	if _, err := arr.InjectFaults(FaultModel{StuckOnRate: 0.1, StuckOffRate: 0.1, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	arr.Age(700)
+	if _, err := arr.InjectFaults(FaultModel{StuckOnRate: 0.1, StuckOffRate: 0.1, Seed: 12}); err != nil {
+		t.Fatal(err)
+	}
+	arr.Age(5e4)
+	ages := map[float64]bool{}
+	v := cfg.EPCM.ReadVoltage
+	for r := 0; r < cfg.Rows; r++ {
+		for c := 0; c < cfg.Cols; c++ {
+			i := r*cfg.Cols + c
+			ages[arr.age[i]] = true
+			want := arr.prog[i] * v
+			if !arr.effective.Row(r).Get(c) {
+				want = arr.prog[i] * cfg.EPCM.DriftFactor(arr.age[i]) * v
+			}
+			if math.Float64bits(arr.sig[i]) != math.Float64bits(want) {
+				t.Fatalf("slot %d (age %g): sig %x, per-cell drift %x",
+					i, arr.age[i], math.Float64bits(arr.sig[i]), math.Float64bits(want))
+			}
+		}
+	}
+	if len(ages) != 3 {
+		t.Fatalf("%d distinct ages after two fault injections, want 3", len(ages))
 	}
 }
 

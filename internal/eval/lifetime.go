@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -138,8 +139,8 @@ func RunLifetime(sc LifetimeScenario) (LifetimeReport, error) {
 
 	life := sc.Lifetime
 	if life.Clock == nil {
-		if sc.SecondsPerSample <= 0 {
-			return LifetimeReport{}, fmt.Errorf("eval: lifetime run needs a Clock or SecondsPerSample > 0")
+		if !(sc.SecondsPerSample > 0) || math.IsInf(sc.SecondsPerSample, 1) {
+			return LifetimeReport{}, fmt.Errorf("eval: lifetime run needs a Clock or a finite SecondsPerSample > 0, got %g", sc.SecondsPerSample)
 		}
 		life.Clock = serve.BatchClock{SecondsPerSample: sc.SecondsPerSample}
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,12 +132,14 @@ func TestRunLifetimeValidation(t *testing.T) {
 	if _, err := RunLifetime(LifetimeScenario{Model: "MLP-S", Design: -1}); err == nil {
 		t.Fatal("want error for Requests == 0")
 	}
-	sc := lifetimeScenario()
-	sc.SecondsPerSample = 0
-	if _, err := RunLifetime(sc); err == nil {
-		t.Fatal("want error for missing clock")
+	for _, sps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc := lifetimeScenario()
+		sc.SecondsPerSample = sps
+		if _, err := RunLifetime(sc); err == nil {
+			t.Fatalf("SecondsPerSample %g: want error for missing clock", sps)
+		}
 	}
-	sc = lifetimeScenario()
+	sc := lifetimeScenario()
 	sc.Model = "no-such-model"
 	if _, err := RunLifetime(sc); err == nil {
 		t.Fatal("want error for unknown model")
