@@ -21,8 +21,13 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -581,27 +586,7 @@ func BenchmarkServe(b *testing.B) {
 	inputs := serve.SyntheticInputs(784, 32, 9)
 	for _, maxBatch := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("Software/MLP-S/maxB=%d", maxBatch), func(b *testing.B) {
-			backend, err := serve.NewSoftwareBackend(model, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := eval.Pipeline(eval.DefaultConfig(), model, arch.EinsteinBarrier)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pricer, err := serve.NewPricer(eng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := serve.New(serve.Config{
-				Backend:  backend,
-				MaxBatch: maxBatch,
-				MaxWait:  100 * time.Microsecond,
-				Pricer:   pricer,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := pricedServer(b, model, maxBatch)
 			b.ResetTimer()
 			rep, err := serve.Run(s, serve.LoadConfig{
 				Clients: 2 * maxBatch, Requests: b.N, Seed: 9, Inputs: inputs,
@@ -619,6 +604,47 @@ func BenchmarkServe(b *testing.B) {
 			}
 		})
 	}
+	// HTTP is the same stream through Handler().ServeHTTP with
+	// pre-marshalled JSON bodies: the /infer codec on top of the
+	// batcher, as a client of the HTTP front end sees it.
+	b.Run("HTTP/MLP-S/maxB=64", func(b *testing.B) {
+		const maxBatch = 64
+		bodies := make([][]byte, len(inputs))
+		for i, x := range inputs {
+			body, err := json.Marshal(serve.InferRequest{Input: x.Data()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = body
+		}
+		s := pricedServer(b, model, maxBatch)
+		s.Start()
+		h := s.Handler()
+		var next, failed atomic.Int64
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range 2 * maxBatch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(bodies[i%int64(len(bodies))])))
+					if rec.Code != http.StatusOK {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		s.Stop()
+		if n := failed.Load(); n > 0 {
+			b.Fatalf("%d of %d requests failed", n, b.N)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	})
 	b.Run("Hardware/MLP-S/maxB=4", func(b *testing.B) {
 		hw, err := serve.NewHardwareBackend(model, robust.DefaultConfig(device.EPCM))
 		if err != nil {
@@ -644,6 +670,34 @@ func BenchmarkServe(b *testing.B) {
 		b.ReportMetric(rep.AchievedPerSec, "req/s")
 		b.ReportMetric(rep.Stats.MeanBatch, "mean-batch")
 	})
+}
+
+// pricedServer builds the software MLP-S server BenchmarkServe streams
+// through, with every batch priced on EinsteinBarrier.
+func pricedServer(b *testing.B, model *bnn.Model, maxBatch int) *serve.Server {
+	b.Helper()
+	backend, err := serve.NewSoftwareBackend(model, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := eval.Pipeline(eval.DefaultConfig(), model, arch.EinsteinBarrier)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pricer, err := serve.NewPricer(eng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.New(serve.Config{
+		Backend:  backend,
+		MaxBatch: maxBatch,
+		MaxWait:  100 * time.Microsecond,
+		Pricer:   pricer,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // BenchmarkLifetime measures the device-lifetime machinery. Probe is

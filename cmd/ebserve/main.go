@@ -34,14 +34,19 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"einsteinbarrier/internal/arch"
@@ -204,21 +209,56 @@ func run(args []string, out io.Writer) error {
 	defer s.Stop()
 	fmt.Fprintf(out, "ebserve: %s on %s (design %v, max-batch %d, max-wait %v) listening on %s\n",
 		o.network, s.Stats().Backend, design, o.maxBatch, o.maxWait, o.addr)
-	return listenAndServe(o.addr, s.Handler())
+	return listenAndServe(o.addr, s.Handler(), s.Stop)
 }
 
-// listenAndServe serves h on addr with fixed timeouts, so a slow or
-// idle client cannot hold a connection open indefinitely.
-func listenAndServe(addr string, h http.Handler) error {
+// listenAndServe serves h on addr until SIGINT or SIGTERM, then shuts
+// down through serveUntil; stop ends admission and flushes the batcher.
+func listenAndServe(addr string, h http.Handler, stop func()) error {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serveUntil(ctx, ln, h, stop)
+}
+
+// shutdownGrace bounds how long a shutdown waits for the handlers still
+// writing their replies.
+const shutdownGrace = 10 * time.Second
+
+// serveUntil serves h on ln with fixed timeouts, so a slow or idle
+// client cannot hold a connection open indefinitely. When ctx ends it
+// shuts down without dropping an admitted request: stop first ends
+// admission and flushes the batcher, so every admitted request has its
+// reply, and only then does http.Server.Shutdown close the listener and
+// wait, at most shutdownGrace, for the handlers writing those replies.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler, stop func()) error {
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	return srv.ListenAndServe()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	stop()
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		return err
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // runMultiModel serves several co-located networks behind the router.
@@ -237,7 +277,7 @@ func runMultiModel(o options, design arch.Design, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  fabric: %.0f inf/s aggregate, fairness %.4f, interference wait %.2f us; listening on %s\n",
 		fabric.AggregatePerSec, fabric.FairnessJain, fabric.InterferenceWaitNs/1e3, o.addr)
-	return listenAndServe(o.addr, router.Handler())
+	return listenAndServe(o.addr, router.Handler(), router.Stop)
 }
 
 // buildRouter co-locates the -models networks on one fabric and wires

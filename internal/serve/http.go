@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -62,11 +62,26 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as the JSON reply. v is encoded before the status
+// goes out, so a value encoding/json cannot encode (a NaN, say) turns
+// into a 500 with the error envelope, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("encoding the reply: %v", err)})
+}
+
+func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
 }
 
 // maxInferBody is the /infer body limit for a backend of n input
@@ -74,30 +89,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // shortest float64 text and its comma take at most 25).
 func maxInferBody(n int) int64 { return 4096 + 32*int64(n) }
 
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var req InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody(s.inputSize)))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+// readInfer reads one whole /infer body into a pooled buffer and
+// decodes it. A body over maxInferBody is a 413 before any of it is
+// parsed. The buffer is back in the pool when readInfer returns, before
+// the handler waits for its batch.
+func (s *Server) readInfer(w http.ResponseWriter, r *http.Request) ([]float64, int, error) {
+	limit := maxInferBody(s.inputSize)
+	buf := getBuf()
+	defer bufPool.Put(buf)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit)
+	}
 	if err == nil {
-		// The body is exactly one JSON value: only whitespace may follow.
-		var extra json.RawMessage
-		if err = dec.Decode(&extra); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("trailing data after the JSON value")
+		var x []float64
+		if x, err = decodeInfer(buf.Bytes(), s.inputSize); err == nil {
+			return x, http.StatusOK, nil
 		}
 	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+}
+
+func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
+	input, status, err := s.readInfer(w, r)
+	if err != nil {
+		writeJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
-	if len(req.Input) == 0 {
+	if len(input) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty input"})
 		return
 	}
@@ -105,7 +128,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// on the reply channel is an execution failure inside the server
 	// (500) — the distinction keeps backend faults from being blamed on
 	// the client.
-	ch, id, err := s.submitTraced(tensor.FromSlice(req.Input, len(req.Input)))
+	ch, id, err := s.submitTraced(tensor.FromSlice(input, len(input)))
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "0")
@@ -140,7 +163,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := rep.Result
-	writeJSON(w, http.StatusOK, InferResponse{
+	buf := getBuf()
+	defer bufPool.Put(buf)
+	b, err := appendInferResponse(buf.AvailableBuffer(), &InferResponse{
 		RequestID: res.RequestID,
 		Class:     res.Class,
 		Logits:    res.Logits,
@@ -149,6 +174,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		QueueMs:   float64(res.QueueNs) * 1e-6,
 		LatencyMs: float64(res.LatencyNs) * 1e-6,
 	})
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

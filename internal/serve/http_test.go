@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,6 +90,7 @@ func TestHTTPInferErrors(t *testing.T) {
 		"trailing value":      {http.MethodPost, "/infer", string(valid) + "{}", http.StatusBadRequest},
 		"trailing whitespace": {http.MethodPost, "/infer", string(valid) + " \n\t", http.StatusOK},
 		"oversized body":      {http.MethodPost, "/infer", oversizedBody(), http.StatusRequestEntityTooLarge},
+		"oversized malformed": {http.MethodPost, "/infer", "{nope" + oversizedBody(), http.StatusRequestEntityTooLarge},
 		"wrong method":        {http.MethodGet, "/infer", "", http.StatusMethodNotAllowed},
 		"unknown path":        {http.MethodGet, "/nope", "", http.StatusNotFound},
 	} {
@@ -155,6 +157,47 @@ func (r *hangReplica) RunBatch(xs []*tensor.Float, out []Prediction) error {
 		out[i] = Prediction{Class: 0, Logits: []float64{0}}
 	}
 	return nil
+}
+
+// nanBackend's replicas answer every sample with a NaN logit, which no
+// JSON reply can carry.
+type nanBackend struct{ model *bnn.Model }
+
+func (b *nanBackend) Name() string                 { return "nan" }
+func (b *nanBackend) InputShape() []int            { return b.model.InputShape }
+func (b *nanBackend) NewReplica() (Replica, error) { return nanReplica{}, nil }
+
+type nanReplica struct{}
+
+func (nanReplica) RunBatch(xs []*tensor.Float, out []Prediction) error {
+	for i := range out {
+		out[i] = Prediction{Class: 0, Logits: []float64{0.5, math.NaN()}}
+	}
+	return nil
+}
+
+// TestHTTPUnencodableReplyIs500 pins that a reply no JSON can carry is a
+// 500 with the error envelope, never a 200 with an empty or invalid
+// body: once through the /infer encoder, once through writeJSON.
+func TestHTTPUnencodableReplyIs500(t *testing.T) {
+	s, err := New(Config{Backend: &nanBackend{model: zooModel(t, "MLP-S")}, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(s.Stop)
+	body, _ := json.Marshal(InferRequest{Input: make([]float64, 784)})
+	rec, out := doJSON(t, s.Handler(), http.MethodPost, "/infer", string(body))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(fmt.Sprint(out["error"]), "NaN") {
+		t.Fatalf("/infer with a NaN logit: %d %q, want 500 with an error envelope", rec.Code, rec.Body)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, InferResponse{Logits: []float64{math.Inf(1)}})
+	var env errorBody
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &env) != nil || !strings.Contains(env.Error, "+Inf") {
+		t.Fatalf("writeJSON with +Inf: %d %q, want 500 with an error envelope", rec.Code, rec.Body)
+	}
 }
 
 func TestHTTPInferTimeout(t *testing.T) {
