@@ -74,7 +74,7 @@ func BenchmarkFig7(b *testing.B) {
 	}
 	rep := report(b)
 	for _, nr := range rep.SortedByName() {
-		model, err := bnn.NewModel(nr.Network, cfg.Seed)
+		model, err := bnn.Arch(nr.Network)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkFig8(b *testing.B) {
 	}
 	rep := report(b)
 	for _, nr := range rep.SortedByName() {
-		model, err := bnn.NewModel(nr.Network, cfg.Seed)
+		model, err := bnn.Arch(nr.Network)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func BenchmarkPipeline(b *testing.B) {
 		arch.MLCEPCM, arch.EinsteinBarrierK64,
 	}
 	for _, network := range []string{"CNN-S", "CNN-L", "MLP-L"} {
-		model, err := bnn.NewModel(network, cfg.Seed)
+		model, err := bnn.Arch(network)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 	const batch = 64
 	for _, network := range []string{"CNN-L", "MLP-L"} {
-		model, err := bnn.NewModel(network, cfg.Seed)
+		model, err := bnn.Arch(network)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,18 +492,18 @@ func BenchmarkPlacement(b *testing.B) {
 		}
 	}
 	b.Run("colocate/CNN-L+MLP-M/mesh", func(b *testing.B) {
-		m1, err := bnn.NewModel("CNN-L", cfg.Seed)
+		m1, err := bnn.Arch("CNN-L")
 		if err != nil {
 			b.Fatal(err)
 		}
-		m2, err := bnn.NewModel("MLP-M", cfg.Seed)
+		m2, err := bnn.Arch("MLP-M")
 		if err != nil {
 			b.Fatal(err)
 		}
 		var sr *sim.SetResult
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cs, err := compiler.CompileSet([]*bnn.Model{m1, m2}, cfg.Arch,
+			cs, err := compiler.CompileSet([]bnn.Network{m1, m2}, cfg.Arch,
 				arch.EinsteinBarrier, compiler.SetOptions{Placer: compiler.MeshPlacer{}})
 			if err != nil {
 				b.Fatal(err)
@@ -541,6 +541,9 @@ func BenchmarkPlacerSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The search reads only shapes, but it allocates ~470 KB per run, so
+	// its GC pace, and ns/op with it, follows the live heap. The gated
+	// baseline was measured with MLP-L's synthesized weights live.
 	model, err := bnn.NewModel("MLP-L", cfg.Seed)
 	if err != nil {
 		b.Fatal(err)
@@ -825,12 +828,8 @@ func BenchmarkEvalRun(b *testing.B) {
 // BenchmarkCompile measures the compiler itself across the zoo.
 func BenchmarkCompile(b *testing.B) {
 	cfg := arch.DefaultConfig()
-	for _, name := range bnn.ZooNames {
-		model, err := bnn.NewModel(name, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, model := range bnn.ZooArchs() {
+		b.Run(model.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := compiler.Compile(model, cfg, arch.EinsteinBarrier); err != nil {
 					b.Fatal(err)
@@ -988,7 +987,7 @@ func BenchmarkTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := bnn.NewModel("CNN-L", cfg.Seed)
+	model, err := bnn.Arch("CNN-L")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,7 +45,6 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	fig := fs.String("fig", "7", "artifact to regenerate: 7, 8, batch, placement, wdm, steps, ablate, area")
 	summary := fs.Bool("summary", false, "also print the §VI observation summary")
-	seed := fs.Int64("seed", 1, "zoo weight-synthesis seed")
 	applyArch := eval.ArchFlags(fs)
 	workers := fs.Int("workers", 0, "evaluation worker pool size (0 = one per CPU, 1 = serial)")
 	csvOut := fs.Bool("csv", false, "emit the report as CSV instead of tables")
@@ -63,7 +62,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg.Seed = *seed
 	cfg.Workers = *workers
 	applyArch(&cfg.Arch)
 	designs, err := parseDesigns(*designNames)

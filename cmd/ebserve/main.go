@@ -289,7 +289,6 @@ func buildRouter(o options, design arch.Design) (*serve.Router, serve.FabricSnap
 		names = append(names, strings.TrimSpace(n))
 	}
 	evalCfg := eval.DefaultConfig()
-	evalCfg.Seed = o.seed
 	evalCfg.Search = eval.SearchSpec{Steps: o.searchSteps, Seed: o.searchSeed, Batch: o.searchBatch}
 	cs, es, _, err := eval.CoLocate(evalCfg, names, design, o.placer, o.maxBatch)
 	if err != nil {
@@ -385,7 +384,6 @@ func runLifetimeMode(o options, design arch.Design, out io.Writer) error {
 		hw.Array.EPCM.DriftNu = o.driftNu
 	}
 	evalCfg := eval.DefaultConfig()
-	evalCfg.Seed = o.seed
 	sc := eval.LifetimeScenario{
 		Model:    o.network,
 		Design:   design,

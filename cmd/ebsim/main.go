@@ -53,7 +53,6 @@ func run(args []string, out io.Writer) error {
 	models := fs.String("models", "", "comma-separated zoo models to CO-LOCATE on one fabric (overrides -model)")
 	design := fs.String("design", "eb", "registered design name or alias, or gpu")
 	placerName := fs.String("placer", "greedy", "placement strategy: "+strings.Join(compiler.PlacerNames, ", "))
-	seed := fs.Int64("seed", 1, "weight-synthesis seed")
 	applyArch := eval.ArchFlags(fs)
 	dumpProgram := fs.Bool("program", false, "print the compiled ISA stream")
 	batch := fs.Int("batch", 32, "batch size for the pipeline drill-down")
@@ -71,7 +70,6 @@ func run(args []string, out io.Writer) error {
 
 	applyArch(&evalCfg.Arch)
 	cfg := evalCfg.Arch
-	evalCfg.Seed = *seed
 	var candRec *trace.Recorder
 	if *traceCand != "" {
 		// Warm starts, candidates, accept/improve markers: ≤3 events per
@@ -87,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		return trace.WriteFiles(candRec, *traceCand, "")
 	}
 
-	m, err := bnn.NewModel(*model, *seed)
+	m, err := bnn.Arch(*model)
 	if err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@ func TestDenseFPForward(t *testing.T) {
 	if y.Data()[0] != -1 || y.Data()[1] != -3 {
 		t.Fatalf("forward = %v", y.Data())
 	}
-	if d.macs() != 6 {
-		t.Fatalf("MACs = %d", d.macs())
+	if macs := d.spec().cost(0).MACs; macs != 6 {
+		t.Fatalf("MACs = %d", macs)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestBinaryDenseForwardMatchesManual(t *testing.T) {
 
 func TestBinaryDenseWorkload(t *testing.T) {
 	b := &BinaryDense{LayerName: "b", W: bitops.NewMatrix(10, 20), Thresh: make([]int, 10)}
-	wl := b.Workload()
+	wl := b.spec().work()
 	if wl.N != 10 || wl.M != 20 || wl.Positions != 1 || wl.Ops() != 200 {
 		t.Fatalf("workload = %+v", wl)
 	}
@@ -95,7 +95,7 @@ func TestBinaryConvForwardAgainstDense(t *testing.T) {
 func TestBinaryConvWorkload(t *testing.T) {
 	g := tensor.ConvGeom{InC: 16, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	b := &BinaryConv2D{LayerName: "c", Geom: g, OutC: 32, K: bitops.NewMatrix(32, g.PatchLen()), Thresh: make([]int, 32)}
-	wl := b.Workload()
+	wl := b.spec().work()
 	if wl.N != 32 || wl.M != 144 || wl.Positions != 64 {
 		t.Fatalf("workload = %+v", wl)
 	}
@@ -121,9 +121,9 @@ func TestMaxPool2D(t *testing.T) {
 	if d := y.Data(); d[0] != 6 || d[1] != 8 || d[2] != -1 || d[3] != -3 {
 		t.Fatalf("pool = %v", y.Data())
 	}
-	sh := p.OutShape([]int{1, 4, 4})
-	if sh[1] != 2 || sh[2] != 2 {
-		t.Fatalf("OutShape = %v", sh)
+	sh, err := p.spec().outShape([]int{1, 4, 4})
+	if err != nil || sh[1] != 2 || sh[2] != 2 {
+		t.Fatalf("outShape = %v, %v", sh, err)
 	}
 }
 

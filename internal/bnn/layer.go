@@ -25,12 +25,19 @@ import (
 	"einsteinbarrier/internal/tensor"
 )
 
-// Layer is one stage of a model's forward pass.
+// Layer is one stage of a model's forward pass. Only this package's
+// layer types implement it: each carries a layerSpec, the geometry that
+// an Architecture holds without weights.
 type Layer interface {
 	// Name identifies the layer for reports and compilation.
 	Name() string
-	// OutShape maps an input shape to the layer's output shape.
-	OutShape(in []int) []int
+	// spec returns the layer's weightless geometry, which the shape
+	// check and the cost models read.
+	spec() layerSpec
+	// cloneShared returns a copy sharing the (immutable at inference
+	// time) weights but owning fresh scratch buffers, so the copy can
+	// run Forward on another goroutine.
+	cloneShared() Layer
 	// Forward runs the reference inference path. The returned tensor is
 	// owned by the layer and overwritten by its next Forward call, so
 	// steady-state inference allocates nothing; Clone the result to
@@ -39,12 +46,6 @@ type Layer interface {
 	Forward(x *tensor.Float) *tensor.Float
 }
 
-// sharedCloner is implemented by the built-in layers: cloneShared
-// returns a copy sharing the (immutable at inference time) weights but
-// owning fresh scratch buffers, so the copy can run Forward on another
-// goroutine.
-type sharedCloner interface{ cloneShared() Layer }
-
 // Binarized is implemented by layers whose arithmetic is XNOR+Popcount
 // and which are therefore mapped onto crossbars.
 type Binarized interface {
@@ -52,8 +53,6 @@ type Binarized interface {
 	// WeightMatrix returns the n×m binary weight matrix (one weight
 	// vector per row).
 	WeightMatrix() *bitops.Matrix
-	// Workload describes the layer's XNOR+Popcount cost structure.
-	Workload() Workload
 }
 
 // Workload describes the XNOR+Popcount work one binary layer generates
@@ -110,8 +109,9 @@ func (d *DenseFP) Name() string { return d.LayerName }
 func (d *DenseFP) inDim() int  { return d.W.Dim(1) }
 func (d *DenseFP) outDim() int { return d.W.Dim(0) }
 
-// OutShape implements Layer.
-func (d *DenseFP) OutShape(in []int) []int { return []int{d.outDim()} }
+func (d *DenseFP) spec() layerSpec {
+	return layerSpec{kind: kindDenseFP, name: d.LayerName, in: d.inDim(), out: d.outDim(), relu: d.ReLU}
+}
 
 // Forward implements Layer.
 func (d *DenseFP) Forward(x *tensor.Float) *tensor.Float {
@@ -138,9 +138,6 @@ func (d *DenseFP) Forward(x *tensor.Float) *tensor.Float {
 	return y
 }
 
-// macs returns the multiply-accumulate count (FP cost model input).
-func (d *DenseFP) macs() int64 { return int64(d.inDim()) * int64(d.outDim()) }
-
 // ConvFP is a full-precision convolution (the high-resolution first
 // layer of the CNN workloads).
 type ConvFP struct {
@@ -164,9 +161,8 @@ func (c *ConvFP) cloneShared() Layer {
 // Name implements Layer.
 func (c *ConvFP) Name() string { return c.LayerName }
 
-// OutShape implements Layer.
-func (c *ConvFP) OutShape(in []int) []int {
-	return []int{c.OutC, c.Geom.OutH(), c.Geom.OutW()}
+func (c *ConvFP) spec() layerSpec {
+	return layerSpec{kind: kindConvFP, name: c.LayerName, out: c.OutC, geom: c.Geom}
 }
 
 // Forward implements Layer.
@@ -191,11 +187,6 @@ func (c *ConvFP) Forward(x *tensor.Float) *tensor.Float {
 		}
 	}
 	return y
-}
-
-// macs returns the multiply-accumulate count.
-func (c *ConvFP) macs() int64 {
-	return int64(c.OutC) * int64(c.Geom.PatchLen()) * int64(c.Geom.Positions())
 }
 
 // --- Binary layers ----------------------------------------------------
@@ -227,16 +218,12 @@ func (b *BinaryDense) cloneShared() Layer {
 // Name implements Layer.
 func (b *BinaryDense) Name() string { return b.LayerName }
 
-// OutShape implements Layer.
-func (b *BinaryDense) OutShape(in []int) []int { return []int{b.W.Rows()} }
+func (b *BinaryDense) spec() layerSpec {
+	return layerSpec{kind: kindBinaryDense, name: b.LayerName, in: b.W.Cols(), out: b.W.Rows()}
+}
 
 // WeightMatrix implements Binarized.
 func (b *BinaryDense) WeightMatrix() *bitops.Matrix { return b.W }
-
-// Workload implements Binarized.
-func (b *BinaryDense) Workload() Workload {
-	return Workload{LayerName: b.LayerName, N: b.W.Rows(), M: b.W.Cols(), Positions: 1}
-}
 
 // Forward implements Layer; output entries are ±1. Steady-state calls
 // reuse the layer's scratch buffers and allocate nothing.
@@ -293,23 +280,12 @@ func (b *BinaryConv2D) cloneShared() Layer {
 // Name implements Layer.
 func (b *BinaryConv2D) Name() string { return b.LayerName }
 
-// OutShape implements Layer.
-func (b *BinaryConv2D) OutShape(in []int) []int {
-	return []int{b.OutC, b.Geom.OutH(), b.Geom.OutW()}
+func (b *BinaryConv2D) spec() layerSpec {
+	return layerSpec{kind: kindBinaryConv, name: b.LayerName, out: b.OutC, geom: b.Geom}
 }
 
 // WeightMatrix implements Binarized.
 func (b *BinaryConv2D) WeightMatrix() *bitops.Matrix { return b.K }
-
-// Workload implements Binarized.
-func (b *BinaryConv2D) Workload() Workload {
-	return Workload{
-		LayerName: b.LayerName,
-		N:         b.OutC,
-		M:         b.Geom.PatchLen(),
-		Positions: b.Geom.Positions(),
-	}
-}
 
 // Forward implements Layer; output entries are ±1. The im2col buffer,
 // the binarized patch vector, and the popcount accumulator are all
@@ -371,8 +347,7 @@ func (s *Sign) cloneShared() Layer {
 // Name implements Layer.
 func (s *Sign) Name() string { return s.LayerName }
 
-// OutShape implements Layer.
-func (s *Sign) OutShape(in []int) []int { return in }
+func (s *Sign) spec() layerSpec { return layerSpec{kind: kindSign, name: s.LayerName} }
 
 // Forward implements Layer.
 func (s *Sign) Forward(x *tensor.Float) *tensor.Float {
@@ -409,12 +384,8 @@ func (m *MaxPool2D) cloneShared() Layer {
 // Name implements Layer.
 func (m *MaxPool2D) Name() string { return m.LayerName }
 
-// OutShape implements Layer.
-func (m *MaxPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("bnn: %s: pooling needs CHW input, got %v", m.LayerName, in))
-	}
-	return []int{in[0], in[1] / m.Size, in[2] / m.Size}
+func (m *MaxPool2D) spec() layerSpec {
+	return layerSpec{kind: kindMaxPool, name: m.LayerName, size: m.Size}
 }
 
 // Forward implements Layer.
@@ -462,14 +433,7 @@ func (f *Flatten) cloneShared() Layer {
 // Name implements Layer.
 func (f *Flatten) Name() string { return f.LayerName }
 
-// OutShape implements Layer.
-func (f *Flatten) OutShape(in []int) []int {
-	n := 1
-	for _, d := range in {
-		n *= d
-	}
-	return []int{n}
-}
+func (f *Flatten) spec() layerSpec { return layerSpec{kind: kindFlatten, name: f.LayerName} }
 
 // Forward implements Layer. The result is a reshaped alias of x's
 // data, built without copying or allocating.

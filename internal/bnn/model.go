@@ -1,10 +1,6 @@
 package bnn
 
-import (
-	"fmt"
-
-	"einsteinbarrier/internal/tensor"
-)
+import "einsteinbarrier/internal/tensor"
 
 // Model is an ordered stack of layers with a fixed input shape.
 type Model struct {
@@ -23,26 +19,19 @@ type Model struct {
 // Name returns the model name.
 func (m *Model) Name() string { return m.ModelName }
 
-// Validate shape-checks the whole stack.
+// Validate shape-checks the whole stack. A stack whose shapes do not
+// chain (say, a pooling layer fed a flat vector) is an error.
 func (m *Model) Validate() error {
-	if len(m.Layers) == 0 {
-		return fmt.Errorf("bnn: model %q has no layers", m.ModelName)
+	return validate(m.ModelName, m.InputShape, m.Classes, m.specs())
+}
+
+// specs returns the layers' weightless geometry.
+func (m *Model) specs() []layerSpec {
+	out := make([]layerSpec, len(m.Layers))
+	for i, l := range m.Layers {
+		out[i] = l.spec()
 	}
-	shape := m.InputShape
-	for _, l := range m.Layers {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					panic(fmt.Sprintf("bnn: model %q layer %q: %v", m.ModelName, l.Name(), r))
-				}
-			}()
-			shape = l.OutShape(shape)
-		}()
-	}
-	if len(shape) != 1 || shape[0] != m.Classes {
-		return fmt.Errorf("bnn: model %q final shape %v, want [%d]", m.ModelName, shape, m.Classes)
-	}
-	return nil
+	return out
 }
 
 // Infer runs the reference forward pass and returns the logits.
@@ -65,8 +54,7 @@ func (m *Model) Predict(x *tensor.Float) int { return m.Infer(x).ArgMax() }
 
 // CloneShared returns a copy of the model whose layers share the
 // (inference-immutable) weight storage with m but own fresh scratch
-// buffers, so the copy can run Infer concurrently with m. Layer types
-// outside this package are reused as-is and must be stateless.
+// buffers, so the copy can run Infer concurrently with m.
 func (m *Model) CloneShared() *Model {
 	c := &Model{
 		ModelName:  m.ModelName,
@@ -75,26 +63,9 @@ func (m *Model) CloneShared() *Model {
 		Classes:    m.Classes,
 	}
 	for i, l := range m.Layers {
-		if sc, ok := l.(sharedCloner); ok {
-			c.Layers[i] = sc.cloneShared()
-		} else {
-			c.Layers[i] = l
-		}
+		c.Layers[i] = l.cloneShared()
 	}
 	return c
-}
-
-// binaryWorkloads collects the XNOR+Popcount workload of every
-// binarized layer, in execution order. This is the input to the
-// compiler and to the analytic cost models.
-func (m *Model) binaryWorkloads() []Workload {
-	var out []Workload
-	for _, l := range m.Layers {
-		if b, ok := l.(Binarized); ok {
-			out = append(out, b.Workload())
-		}
-	}
-	return out
 }
 
 // LayerCost summarizes one layer for the cost models.
@@ -115,62 +86,23 @@ type LayerCost struct {
 }
 
 // Costs walks the stack and produces per-layer cost descriptors,
-// tracking activation shapes to size the data movement.
-func (m *Model) Costs() []LayerCost {
-	var out []LayerCost
-	shape := m.InputShape
-	for i, l := range m.Layers {
-		next := l.OutShape(shape)
-		bytes := int64(sizeOf(next)+7) / 8 // binarized hidden traffic
-		if i == len(m.Layers)-1 {
-			bytes = int64(sizeOf(next)) * 4 // fp32 logits
-		}
-		switch t := l.(type) {
-		case Binarized:
-			out = append(out, LayerCost{
-				Name: l.Name(), Kind: "binary", Work: t.Workload(), ActivationBytes: bytes,
-			})
-		case *DenseFP:
-			out = append(out, LayerCost{
-				Name: l.Name(), Kind: "fp", MACs: t.macs(), ActivationBytes: bytes,
-				Work: Workload{LayerName: l.Name(), N: t.outDim(), M: t.inDim(), Positions: 1},
-			})
-		case *ConvFP:
-			out = append(out, LayerCost{
-				Name: l.Name(), Kind: "fp", MACs: t.macs(), ActivationBytes: bytes,
-				Work: Workload{LayerName: l.Name(), N: t.OutC, M: t.Geom.PatchLen(), Positions: t.Geom.Positions()},
-			})
-		default:
-			out = append(out, LayerCost{Name: l.Name(), Kind: "shape", ActivationBytes: bytes})
-		}
-		shape = next
-	}
-	return out
-}
+// tracking activation shapes to size the data movement. It panics on a
+// stack Validate rejects.
+func (m *Model) Costs() []LayerCost { return costs(m.ModelName, m.InputShape, m.specs()) }
 
 // TotalBinaryOps sums the XNOR+Popcount bit operations per inference.
-func (m *Model) TotalBinaryOps() int64 {
-	var total int64
-	for _, w := range m.binaryWorkloads() {
-		total += w.Ops()
-	}
-	return total
-}
+func (m *Model) TotalBinaryOps() int64 { return totalBinaryOps(m.Costs()) }
 
 // TotalFPMACs sums the high-precision MACs per inference.
-func (m *Model) TotalFPMACs() int64 {
-	var total int64
-	for _, c := range m.Costs() {
-		total += c.MACs
-	}
-	return total
-}
+func (m *Model) TotalFPMACs() int64 { return totalFPMACs(m.Costs()) }
 
 // WeightBits counts the binary weight storage of the model.
 func (m *Model) WeightBits() int64 {
 	var total int64
-	for _, w := range m.binaryWorkloads() {
-		total += int64(w.N) * int64(w.M)
+	for _, c := range m.Costs() {
+		if c.Kind == "binary" {
+			total += int64(c.Work.N) * int64(c.Work.M)
+		}
 	}
 	return total
 }

@@ -24,7 +24,13 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Adversarial seeds: truncated magic, bad version, empty stream.
+	// Adversarial seeds: a well-formed stream whose shapes do not chain,
+	// truncated magic, bad version, empty stream.
+	var unchained bytes.Buffer
+	if err := WriteModel(&unchained, unchainedPool()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unchained.Bytes())
 	f.Add([]byte("EBNN"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package bnn
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"einsteinbarrier/internal/tensor"
@@ -136,5 +137,42 @@ func TestReadModelValidates(t *testing.T) {
 	}
 	if _, err := ReadModel(&buf); err == nil {
 		t.Fatal("expected validation error on read")
+	}
+}
+
+// unchainedPool is a well-formed model whose pooling layer is fed a
+// flat vector: every layer decodes, but the stack's shapes do not chain.
+func unchainedPool() *Model {
+	return &Model{ModelName: "unchained", InputShape: []int{4}, Layers: []Layer{&MaxPool2D{LayerName: "pool", Size: 2}}, Classes: 4}
+}
+
+// TestReadModelRejectsUnchainedStack: a stream whose layers each decode
+// but whose shapes do not chain is an error from ReadModel, never a
+// panic there or in the first Infer.
+func TestReadModelRejectsUnchainedStack(t *testing.T) {
+	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	cases := []struct {
+		m    *Model
+		want string
+	}{
+		{unchainedPool(), "pooling needs CHW input, got [4]"},
+		{&Model{ModelName: "narrow", InputShape: []int{4}, Classes: 2, Layers: []Layer{
+			&DenseFP{LayerName: "d", W: tensor.NewFloat(2, 3), B: make([]float64, 2)},
+		}}, "input size 4, want 3"},
+		{&Model{ModelName: "flat-conv", InputShape: []int{16}, Classes: 2, Layers: []Layer{
+			&ConvFP{LayerName: "c", Geom: g, OutC: 2, K: tensor.NewFloat(2, 1), B: make([]float64, 2)},
+			&Flatten{LayerName: "f"},
+			&DenseFP{LayerName: "d", W: tensor.NewFloat(2, 32), B: make([]float64, 2)},
+		}}, "input shape [16], want [1 4 4]"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := WriteModel(&buf, c.m); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadModel(&buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: ReadModel error = %v, want %q", c.m.ModelName, err, c.want)
+		}
 	}
 }

@@ -102,7 +102,12 @@ func labelOfTrainer(tr *Trainer, x []float64) int {
 func TestExportedModelHasBinaryHidden(t *testing.T) {
 	tr, _ := NewTrainer(TrainerConfig{Sizes: []int{16, 8, 8, 4}, Seed: 1})
 	m := tr.Export("x")
-	wls := m.binaryWorkloads()
+	var wls []Workload
+	for _, c := range m.Costs() {
+		if c.Kind == "binary" {
+			wls = append(wls, c.Work)
+		}
+	}
 	if len(wls) != 1 {
 		t.Fatalf("expected 1 binary layer, got %d", len(wls))
 	}

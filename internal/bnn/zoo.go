@@ -16,37 +16,66 @@ import (
 // roughly two orders of magnitude in XNOR+Popcount work, which is what
 // drives the network-to-network spread in Figs. 7–8.
 //
-// Weights are synthesized deterministically from a seed. TacitMap and
+// Each network is one topology table (Arch). TacitMap and
 // EinsteinBarrier are exact accelerations of the same arithmetic, so
 // model accuracy is orthogonal to the latency/energy evaluation (paper
-// §V-C: "neither TacitMap nor EinsteinBarrier affect the accuracy");
-// trained weights are only needed for the accuracy demos, which use the
-// STE trainer in train.go.
+// §V-C: "neither TacitMap nor EinsteinBarrier affect the accuracy"),
+// and pricing reads the table alone. Weights are synthesized
+// deterministically from a seed (NewModel) only where a forward pass
+// runs; trained weights are only needed for the accuracy demos, which
+// use the STE trainer in train.go.
 
 // ZooNames lists the evaluation networks in the order used by the
 // figures.
 var ZooNames = []string{"CNN-S", "CNN-M", "CNN-L", "MLP-S", "MLP-M", "MLP-L"}
 
-// NewModel builds a zoo network by name with deterministically
-// synthesized weights.
-func NewModel(name string, seed int64) (*Model, error) {
-	rng := rand.New(rand.NewSource(seed))
+// Arch returns a zoo network's weightless description. It is the one
+// topology table of the zoo: NewModel synthesizes weights for exactly
+// these layers, so an Architecture prices like the Model NewModel builds
+// at any seed.
+func Arch(name string) (*Architecture, error) {
 	switch name {
 	case "MLP-S":
-		return newMLP(name, rng, []int{784, 1024, 1024, 512, 10}), nil
+		return mlpArch(name, []int{784, 1024, 1024, 512, 10}), nil
 	case "MLP-M":
-		return newMLP(name, rng, []int{784, 2048, 2048, 1024, 10}), nil
+		return mlpArch(name, []int{784, 2048, 2048, 1024, 10}), nil
 	case "MLP-L":
-		return newMLP(name, rng, []int{784, 3072, 3072, 3072, 1536, 10}), nil
+		return mlpArch(name, []int{784, 3072, 3072, 3072, 1536, 10}), nil
 	case "CNN-S":
-		return newCNNSmall(rng), nil
+		return cnnSmall(), nil
 	case "CNN-M":
-		return newCNNMedium(rng), nil
+		return cnnMedium(), nil
 	case "CNN-L":
-		return newCNNLarge(rng), nil
+		return cnnLarge(), nil
 	default:
 		return nil, fmt.Errorf("bnn: unknown zoo model %q (have %v)", name, ZooNames)
 	}
+}
+
+// ZooArchs returns the weightless descriptions of all six evaluation
+// networks, in ZooNames order.
+func ZooArchs() []*Architecture {
+	out := make([]*Architecture, len(ZooNames))
+	for i, n := range ZooNames {
+		out[i], _ = Arch(n) // every ZooNames entry has a table
+	}
+	return out
+}
+
+// NewModel builds a zoo network by name with deterministically
+// synthesized weights: one RNG stream seeded by seed, drawn layer by
+// layer in execution order.
+func NewModel(name string, seed int64) (*Model, error) {
+	a, err := Arch(name)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	m := &Model{ModelName: a.name, InputShape: a.input, Classes: a.classes, Layers: make([]Layer, len(a.layers))}
+	for i, s := range a.layers {
+		m.Layers[i] = s.synthesize(rng)
+	}
+	return m, nil
 }
 
 // Zoo instantiates all six evaluation networks.
@@ -62,105 +91,114 @@ func Zoo(seed int64) ([]*Model, error) {
 	return out, nil
 }
 
-// newMLP builds sizes[0] → … → sizes[last]: FP input layer, binary
-// hidden layers, FP output layer.
-func newMLP(name string, rng *rand.Rand, sizes []int) *Model {
-	layers := []Layer{
-		randomDenseFP(rng, "fc0-fp", sizes[0], sizes[1], true),
-		&Sign{LayerName: "sign0"},
+// --- topology tables -----------------------------------------------------
+
+// mlpArch is sizes[0] → … → sizes[last]: FP input layer, binary hidden
+// layers, FP output layer.
+func mlpArch(name string, sizes []int) *Architecture {
+	layers := []layerSpec{
+		denseFPSpec("fc0-fp", sizes[0], sizes[1], true),
+		{kind: kindSign, name: "sign0"},
 	}
 	for i := 1; i < len(sizes)-2; i++ {
-		layers = append(layers, randomBinaryDense(rng,
-			fmt.Sprintf("fc%d-bin", i), sizes[i], sizes[i+1]))
+		layers = append(layers, layerSpec{kind: kindBinaryDense,
+			name: fmt.Sprintf("fc%d-bin", i), in: sizes[i], out: sizes[i+1]})
 	}
 	last := len(sizes) - 2
-	layers = append(layers, randomDenseFP(rng, "fc-out-fp", sizes[last], sizes[last+1], false))
-	return &Model{
-		ModelName:  name,
-		InputShape: []int{sizes[0]},
-		Layers:     layers,
-		Classes:    sizes[len(sizes)-1],
-	}
+	layers = append(layers, denseFPSpec("fc-out-fp", sizes[last], sizes[last+1], false))
+	return &Architecture{name: name, input: []int{sizes[0]}, classes: sizes[len(sizes)-1], layers: layers}
 }
 
-// newCNNSmall is a LeNet-scale MNIST network.
-func newCNNSmall(rng *rand.Rand) *Model {
+// cnnSmall is a LeNet-scale MNIST network.
+func cnnSmall() *Architecture {
 	g1 := tensor.ConvGeom{InC: 1, InH: 28, InW: 28, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
 	g2 := tensor.ConvGeom{InC: 8, InH: 14, InW: 14, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
-	return &Model{
-		ModelName:  "CNN-S",
-		InputShape: []int{1, 28, 28},
-		Classes:    10,
-		Layers: []Layer{
-			randomConvFP(rng, "conv0-fp", g1, 8),
-			&Sign{LayerName: "sign0"},
-			&MaxPool2D{LayerName: "pool0", Size: 2},
-			randomBinaryConv(rng, "conv1-bin", g2, 16),
-			&MaxPool2D{LayerName: "pool1", Size: 2},
-			&Flatten{LayerName: "flatten"},
-			randomBinaryDense(rng, "fc0-bin", 16*7*7, 120),
-			randomBinaryDense(rng, "fc1-bin", 120, 84),
-			randomDenseFP(rng, "fc-out-fp", 84, 10, false),
+	return &Architecture{
+		name:    "CNN-S",
+		input:   []int{1, 28, 28},
+		classes: 10,
+		layers: []layerSpec{
+			{kind: kindConvFP, name: "conv0-fp", geom: g1, out: 8},
+			{kind: kindSign, name: "sign0"},
+			poolSpec("pool0"),
+			{kind: kindBinaryConv, name: "conv1-bin", geom: g2, out: 16},
+			poolSpec("pool1"),
+			{kind: kindFlatten, name: "flatten"},
+			{kind: kindBinaryDense, name: "fc0-bin", in: 16 * 7 * 7, out: 120},
+			{kind: kindBinaryDense, name: "fc1-bin", in: 120, out: 84},
+			denseFPSpec("fc-out-fp", 84, 10, false),
 		},
 	}
 }
 
-// newCNNMedium is a mid-size CIFAR network.
-func newCNNMedium(rng *rand.Rand) *Model {
-	g0 := tensor.ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g1 := tensor.ConvGeom{InC: 64, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g2 := tensor.ConvGeom{InC: 64, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g3 := tensor.ConvGeom{InC: 128, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	return &Model{
-		ModelName:  "CNN-M",
-		InputShape: []int{3, 32, 32},
-		Classes:    10,
-		Layers: []Layer{
-			randomConvFP(rng, "conv0-fp", g0, 64),
-			&Sign{LayerName: "sign0"},
-			randomBinaryConv(rng, "conv1-bin", g1, 64),
-			&MaxPool2D{LayerName: "pool0", Size: 2},
-			randomBinaryConv(rng, "conv2-bin", g2, 128),
-			&MaxPool2D{LayerName: "pool1", Size: 2},
-			randomBinaryConv(rng, "conv3-bin", g3, 128),
-			&MaxPool2D{LayerName: "pool2", Size: 2},
-			&Flatten{LayerName: "flatten"},
-			randomBinaryDense(rng, "fc0-bin", 128*4*4, 1024),
-			randomDenseFP(rng, "fc-out-fp", 1024, 10, false),
+// cnnMedium is a mid-size CIFAR network.
+func cnnMedium() *Architecture {
+	g0 := conv3x3(3, 32)
+	g1 := conv3x3(64, 32)
+	g2 := conv3x3(64, 16)
+	g3 := conv3x3(128, 8)
+	return &Architecture{
+		name:    "CNN-M",
+		input:   []int{3, 32, 32},
+		classes: 10,
+		layers: []layerSpec{
+			{kind: kindConvFP, name: "conv0-fp", geom: g0, out: 64},
+			{kind: kindSign, name: "sign0"},
+			{kind: kindBinaryConv, name: "conv1-bin", geom: g1, out: 64},
+			poolSpec("pool0"),
+			{kind: kindBinaryConv, name: "conv2-bin", geom: g2, out: 128},
+			poolSpec("pool1"),
+			{kind: kindBinaryConv, name: "conv3-bin", geom: g3, out: 128},
+			poolSpec("pool2"),
+			{kind: kindFlatten, name: "flatten"},
+			{kind: kindBinaryDense, name: "fc0-bin", in: 128 * 4 * 4, out: 1024},
+			denseFPSpec("fc-out-fp", 1024, 10, false),
 		},
 	}
 }
 
-// newCNNLarge is a VGG-scale CIFAR network.
-func newCNNLarge(rng *rand.Rand) *Model {
-	g0 := tensor.ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g1 := tensor.ConvGeom{InC: 128, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g2 := tensor.ConvGeom{InC: 128, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g3 := tensor.ConvGeom{InC: 256, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g4 := tensor.ConvGeom{InC: 256, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	g5 := tensor.ConvGeom{InC: 512, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	return &Model{
-		ModelName:  "CNN-L",
-		InputShape: []int{3, 32, 32},
-		Classes:    10,
-		Layers: []Layer{
-			randomConvFP(rng, "conv0-fp", g0, 128),
-			&Sign{LayerName: "sign0"},
-			randomBinaryConv(rng, "conv1-bin", g1, 128),
-			&MaxPool2D{LayerName: "pool0", Size: 2},
-			randomBinaryConv(rng, "conv2-bin", g2, 256),
-			randomBinaryConv(rng, "conv3-bin", g3, 256),
-			&MaxPool2D{LayerName: "pool1", Size: 2},
-			randomBinaryConv(rng, "conv4-bin", g4, 512),
-			randomBinaryConv(rng, "conv5-bin", g5, 512),
-			&MaxPool2D{LayerName: "pool2", Size: 2},
-			&Flatten{LayerName: "flatten"},
-			randomBinaryDense(rng, "fc0-bin", 512*4*4, 1024),
-			randomBinaryDense(rng, "fc1-bin", 1024, 1024),
-			randomDenseFP(rng, "fc-out-fp", 1024, 10, false),
+// cnnLarge is a VGG-scale CIFAR network.
+func cnnLarge() *Architecture {
+	g0 := conv3x3(3, 32)
+	g1 := conv3x3(128, 32)
+	g2 := conv3x3(128, 16)
+	g3 := conv3x3(256, 16)
+	g4 := conv3x3(256, 8)
+	g5 := conv3x3(512, 8)
+	return &Architecture{
+		name:    "CNN-L",
+		input:   []int{3, 32, 32},
+		classes: 10,
+		layers: []layerSpec{
+			{kind: kindConvFP, name: "conv0-fp", geom: g0, out: 128},
+			{kind: kindSign, name: "sign0"},
+			{kind: kindBinaryConv, name: "conv1-bin", geom: g1, out: 128},
+			poolSpec("pool0"),
+			{kind: kindBinaryConv, name: "conv2-bin", geom: g2, out: 256},
+			{kind: kindBinaryConv, name: "conv3-bin", geom: g3, out: 256},
+			poolSpec("pool1"),
+			{kind: kindBinaryConv, name: "conv4-bin", geom: g4, out: 512},
+			{kind: kindBinaryConv, name: "conv5-bin", geom: g5, out: 512},
+			poolSpec("pool2"),
+			{kind: kindFlatten, name: "flatten"},
+			{kind: kindBinaryDense, name: "fc0-bin", in: 512 * 4 * 4, out: 1024},
+			{kind: kindBinaryDense, name: "fc1-bin", in: 1024, out: 1024},
+			denseFPSpec("fc-out-fp", 1024, 10, false),
 		},
 	}
 }
+
+// conv3x3 is the CIFAR networks' square 3×3, stride-1, pad-1 geometry
+// over an inC×hw×hw input.
+func conv3x3(inC, hw int) tensor.ConvGeom {
+	return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+}
+
+func denseFPSpec(name string, in, out int, relu bool) layerSpec {
+	return layerSpec{kind: kindDenseFP, name: name, in: in, out: out, relu: relu}
+}
+
+func poolSpec(name string) layerSpec { return layerSpec{kind: kindMaxPool, name: name, size: 2} }
 
 // --- weight synthesis --------------------------------------------------
 

@@ -26,7 +26,7 @@ type SetOptions struct {
 
 // layerDemands lowers just far enough to size every VCore-owning layer
 // (the placer's input) without assembling a program.
-func layerDemands(model *bnn.Model, cfg arch.Config, design arch.Design) ([]LayerDemand, error) {
+func layerDemands(model bnn.Network, cfg arch.Config, design arch.Design) ([]LayerDemand, error) {
 	spec, err := design.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
@@ -87,7 +87,7 @@ func usedExtent(p *Placement, cfg arch.Config) (chips, lastChipRows int) {
 // chip and contend for its mesh spine and egress port), each model is
 // compiled into its region, and the per-model Compileds — placements
 // attached — are returned in input order.
-func CompileSet(models []*bnn.Model, cfg arch.Config, design arch.Design, opts SetOptions) ([]*Compiled, error) {
+func CompileSet(models []bnn.Network, cfg arch.Config, design arch.Design, opts SetOptions) ([]*Compiled, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("compiler: CompileSet needs at least one model")
 	}

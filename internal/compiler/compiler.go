@@ -66,7 +66,7 @@ type Options struct {
 // density and architecture hooks all come from the registered spec).
 // It uses the greedy placer over the full fabric — the seed compiler's
 // exact layout and program.
-func Compile(model *bnn.Model, cfg arch.Config, design arch.Design) (*Compiled, error) {
+func Compile(model bnn.Network, cfg arch.Config, design arch.Design) (*Compiled, error) {
 	return CompileWith(model, cfg, design, Options{})
 }
 
@@ -80,7 +80,7 @@ func Compile(model *bnn.Model, cfg arch.Config, design arch.Design) (*Compiled, 
 // CompileWith is lower + Lowered.compile: callers that compile one
 // model under many placements (the search placer) hoist the lowering
 // prefix with lower and pay only the assembly per placement.
-func CompileWith(model *bnn.Model, cfg arch.Config, design arch.Design, opts Options) (*Compiled, error) {
+func CompileWith(model bnn.Network, cfg arch.Config, design arch.Design, opts Options) (*Compiled, error) {
 	lw, err := lower(model, cfg, design)
 	if err != nil {
 		return nil, err

@@ -9,9 +9,9 @@ import (
 	"einsteinbarrier/internal/isa"
 )
 
-func mustModel(t *testing.T, name string) *bnn.Model {
+func mustModel(t *testing.T, name string) *bnn.Architecture {
 	t.Helper()
-	m, err := bnn.NewModel(name, 1)
+	m, err := bnn.Arch(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestCompileAllZooAllDesigns(t *testing.T) {
 			if c.VCoresUsed <= 0 || c.VCoresUsed > cfg.TotalVCores() {
 				t.Fatalf("%s/%v: VCoresUsed = %d", name, d, c.VCoresUsed)
 			}
-			if len(c.Allocs) != len(m.Layers) {
-				t.Fatalf("%s/%v: %d allocs for %d layers", name, d, len(c.Allocs), len(m.Layers))
+			if len(c.Allocs) != len(m.Costs()) {
+				t.Fatalf("%s/%v: %d allocs for %d layers", name, d, len(c.Allocs), len(m.Costs()))
 			}
 			if c.WeightWrites <= 0 {
 				t.Fatalf("%s/%v: no weight writes", name, d)
@@ -209,7 +209,7 @@ func TestEBNeverExceedsTacitVCores(t *testing.T) {
 // design — while binary layers keep the 2-cell [w;¬w] mapping untouched.
 func TestMLCDesignPacksFPWeights(t *testing.T) {
 	cfg := arch.DefaultConfig()
-	m, err := bnn.NewModel("CNN-S", 1)
+	m, err := bnn.Arch("CNN-S")
 	if err != nil {
 		t.Fatal(err)
 	}

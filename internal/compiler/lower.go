@@ -48,7 +48,7 @@ func (lw *Lowered) Demands() []LayerDemand {
 // lower runs the placement-independent compilation prefix: it resolves
 // the design spec, validates the model, and lowers every layer to its
 // instruction template, demand and allocation.
-func lower(model *bnn.Model, cfg arch.Config, design arch.Design) (*Lowered, error) {
+func lower(model bnn.Network, cfg arch.Config, design arch.Design) (*Lowered, error) {
 	spec, err := design.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)

@@ -25,12 +25,8 @@ func TestGreedyCompileBitIdenticalToGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := arch.DefaultConfig()
-	models, err := bnn.Zoo(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got strings.Builder
-	for _, m := range models {
+	for _, m := range bnn.ZooArchs() {
 		for _, d := range arch.Designs() {
 			c, err := Compile(m, cfg, d)
 			if err != nil {

@@ -128,7 +128,7 @@ type SearchPlacer struct {
 // NewSearchPlacer binds the search to a model, architecture, design and
 // objective. The model is lowered once here; every candidate placement
 // reuses the prefix and pays only program assembly.
-func NewSearchPlacer(model *bnn.Model, cfg arch.Config, design arch.Design, eval Evaluator, opts SearchOptions) (*SearchPlacer, error) {
+func NewSearchPlacer(model bnn.Network, cfg arch.Config, design arch.Design, eval Evaluator, opts SearchOptions) (*SearchPlacer, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("compiler: search placer needs an evaluator (wire sim.PlacementEvaluator or sim.SetEvaluator)")
 	}

@@ -30,7 +30,10 @@ type Config struct {
 	Costs energy.CostParams
 	// GPU is the Baseline-GPU model.
 	GPU gpu.Model
-	// Seed synthesizes the zoo weights.
+	// Seed is the zoo weight-synthesis seed of callers that run a
+	// forward pass on the zoo. Pricing reads shapes only (bnn.Arch), so
+	// nothing in this package reads it; it goes once the benchmark
+	// driver stops reading it too.
 	Seed int64
 	// Workers bounds the compile+simulate fan-out: every network×design
 	// pair is an independent job run on a worker pool. 0 (the default)
@@ -154,10 +157,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := bnn.Zoo(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	models := bnn.ZooArchs()
 	designs := cfg.designs()
 	for _, need := range arch.CIMDesigns {
 		found := false

@@ -88,11 +88,11 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 	return infer.Map(cfg.Workers, len(networks)*np, func(_, j int) (PlacementRow, error) {
 		name, pname := networks[j/np], placers[j%np]
 		row := PlacementRow{Network: name, Placer: pname, Design: d, Batch: batch}
-		m, err := bnn.NewModel(name, cfg.Seed)
+		a, err := bnn.Arch(name)
 		if err != nil {
 			return row, err
 		}
-		c, ms, err := Place(jobCfg, m, d, pname, batch)
+		c, ms, err := Place(jobCfg, a, d, pname, batch)
 		if err != nil {
 			return row, fmt.Errorf("eval: %s/%s: %w", name, pname, err)
 		}

@@ -61,7 +61,7 @@ func (c Config) searchBatch(batch int) int {
 // cfg.Search.Seed over cfg.Workers, and the returned ModelSearch holds
 // its stats and evaluator counters; heuristics return a nil
 // ModelSearch. Deterministic at any worker count.
-func Place(cfg Config, m *bnn.Model, d arch.Design, placer string, batch int) (*compiler.Compiled, *ModelSearch, error) {
+func Place(cfg Config, m bnn.Network, d arch.Design, placer string, batch int) (*compiler.Compiled, *ModelSearch, error) {
 	p, err := heuristic(placer)
 	if err != nil {
 		return nil, nil, err
@@ -120,13 +120,13 @@ func CoLocate(cfg Config, names []string, d arch.Design, placer string, batch in
 	if search {
 		p = compiler.ShardPlacer{}
 	}
-	var models []*bnn.Model
+	var models []bnn.Network
 	for _, n := range names {
-		m, err := bnn.NewModel(n, cfg.Seed)
+		a, err := bnn.Arch(n)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		models = append(models, m)
+		models = append(models, a)
 	}
 	cs, err := compiler.CompileSet(models, cfg.Arch, d, compiler.SetOptions{Placer: p})
 	if err != nil {

@@ -44,7 +44,7 @@ func TestSearchPlacementGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range bnn.ZooNames {
-		m, err := bnn.NewModel(name, 1)
+		m, err := bnn.Arch(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestSearchPlacementGolden(t *testing.T) {
 	// the overall rate past the pinned floor.
 	c0 := pe.Counters()
 	for _, name := range bnn.ZooNames {
-		m, err := bnn.NewModel(name, 1)
+		m, err := bnn.Arch(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,10 +68,7 @@ func ThroughputAt(cfg Config, designs []arch.Design, batches []int) ([]Throughpu
 	if err != nil {
 		return nil, err
 	}
-	models, err := bnn.Zoo(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	models := bnn.ZooArchs()
 	nd := len(designs)
 	return infer.Map(cfg.Workers, len(models)*nd, func(_, j int) (ThroughputResult, error) {
 		m, d := models[j/nd], designs[j%nd]
@@ -136,7 +133,7 @@ func ThroughputTables(rows []ThroughputResult) (text, csv *report.Table) {
 // the serving subsystem (internal/serve) calls RunBatch on it for every
 // dynamically formed batch, so a live request stream is priced by the
 // exact same arithmetic as the offline ThroughputAt sweep.
-func Pipeline(cfg Config, model *bnn.Model, d arch.Design) (*sim.Engine, error) {
+func Pipeline(cfg Config, model bnn.Network, d arch.Design) (*sim.Engine, error) {
 	if _, err := d.Spec(); err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}

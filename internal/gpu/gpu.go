@@ -85,7 +85,7 @@ func (m Model) layerLatencyNs(c bnn.LayerCost) float64 {
 }
 
 // InferenceLatencyNs prices a full single-sample inference.
-func (m Model) InferenceLatencyNs(model *bnn.Model) float64 {
+func (m Model) InferenceLatencyNs(model bnn.Network) float64 {
 	var total float64
 	for _, c := range model.Costs() {
 		total += m.layerLatencyNs(c)
@@ -95,6 +95,6 @@ func (m Model) InferenceLatencyNs(model *bnn.Model) float64 {
 
 // InferenceEnergyPJ estimates energy as busy power × latency.
 // (1 W × 1 ns = 1 nJ = 1000 pJ.)
-func (m Model) InferenceEnergyPJ(model *bnn.Model) float64 {
+func (m Model) InferenceEnergyPJ(model bnn.Network) float64 {
 	return m.PowerW * m.InferenceLatencyNs(model) * 1000
 }

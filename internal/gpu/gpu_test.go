@@ -71,7 +71,7 @@ func TestMemoryBoundDenseFP(t *testing.T) {
 
 func TestInferenceLatencyAggregates(t *testing.T) {
 	g := DefaultModel()
-	m, err := bnn.NewModel("MLP-S", 1)
+	m, err := bnn.Arch("MLP-S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestMLPsFasterThanCNNsOnGPU(t *testing.T) {
 	// The crossover driver (paper observation 4): at batch 1 the GPU
 	// handles MLPs well (few fused GEMV kernels) and CNNs poorly.
 	g := DefaultModel()
-	mlp, _ := bnn.NewModel("MLP-S", 1)
-	cnn, _ := bnn.NewModel("CNN-S", 1)
+	mlp, _ := bnn.Arch("MLP-S")
+	cnn, _ := bnn.Arch("CNN-S")
 	if g.InferenceLatencyNs(mlp) >= g.InferenceLatencyNs(cnn) {
 		t.Fatal("MLP-S should be faster than CNN-S on the GPU model")
 	}

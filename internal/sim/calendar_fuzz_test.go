@@ -126,7 +126,7 @@ func seedFromRun(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m, err := bnn.NewModel("CNN-L", 1)
+	m, err := bnn.Arch("CNN-L")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestCrossValidateTacitCounters(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	s := newSim(t)
 	for _, name := range bnn.ZooNames {
-		m, err := bnn.NewModel(name, 1)
+		m, err := bnn.Arch(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestCrossValidateBaselineCounters(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	s := newSim(t)
 	for _, name := range bnn.ZooNames {
-		m, err := bnn.NewModel(name, 1)
+		m, err := bnn.Arch(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestCrossValidateEBBatching(t *testing.T) {
 	// EB's MMM count must be ceil(positions/K) per tile set.
 	cfg := arch.DefaultConfig()
 	s := newSim(t)
-	m, err := bnn.NewModel("CNN-M", 1)
+	m, err := bnn.Arch("CNN-M")
 	if err != nil {
 		t.Fatal(err)
 	}

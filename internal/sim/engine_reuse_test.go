@@ -142,7 +142,7 @@ func TestRepriceMatchesNewEngine(t *testing.T) {
 // recompiled compiles a model with an explicit placer.
 func recompiled(t *testing.T, model string, d arch.Design, p compiler.Placer, cfg arch.Config) *compiler.Compiled {
 	t.Helper()
-	m, err := bnn.NewModel(model, 1)
+	m, err := bnn.Arch(model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestEngineSetSwapMatchesFresh(t *testing.T) {
 	// A real swap candidate is re-placed inside its slot's region (the
 	// co-location searcher compiles with Region pinned) — here the same
 	// model under a different placer, so the schedule genuinely changes.
-	m, err := bnn.NewModel("CNN-S", 1)
+	m, err := bnn.Arch("CNN-S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ var geomDesign = arch.MustRegister(arch.DesignSpec{
 
 func TestEngineHonorsTuneArchGeometry(t *testing.T) {
 	s := newSim(t)
-	m, err := bnn.NewModel("CNN-M", 1)
+	m, err := bnn.Arch("CNN-M")
 	if err != nil {
 		t.Fatal(err)
 	}

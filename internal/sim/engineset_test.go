@@ -11,9 +11,9 @@ import (
 
 func compileSet(t *testing.T, names []string, placer compiler.Placer, cfg arch.Config) []*compiler.Compiled {
 	t.Helper()
-	var models []*bnn.Model
+	var models []bnn.Network
 	for _, n := range names {
-		m, err := bnn.NewModel(n, 1)
+		m, err := bnn.Arch(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestEngineSetDenseCoLocationInterferenceVisible(t *testing.T) {
 func TestEngineSetRejectsOverlapAndMixedDesigns(t *testing.T) {
 	s := newSim(t)
 	cfg := arch.DefaultConfig()
-	m, err := bnn.NewModel("MLP-S", 1)
+	m, err := bnn.Arch("MLP-S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRunBatchesBitIdenticalToRunBatch(t *testing.T) {
 func TestMeshPlacerCutsLinkWaitOnCNNL(t *testing.T) {
 	s := newSim(t)
 	cfg := arch.DefaultConfig()
-	m, err := bnn.NewModel("CNN-L", 1)
+	m, err := bnn.Arch("CNN-L")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestShardedCompileRunsEndToEnd(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.TilesPerNode = 4
 	cfg.Nodes = 8
-	m, err := bnn.NewModel("MLP-L", 1)
+	m, err := bnn.Arch("MLP-L")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestPlacementEvaluatorConcurrent(t *testing.T) {
 	var cands []*compiler.Compiled
 	for _, model := range []string{"CNN-S", "MLP-S"} {
 		for _, p := range []compiler.Placer{compiler.GreedyPlacer{}, compiler.MeshPlacer{}, compiler.ShardPlacer{}} {
-			m, err := bnn.NewModel(model, 1)
+			m, err := bnn.Arch(model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestSetEvaluatorConcurrent(t *testing.T) {
 	reg := cs[1].Placement.Region
 	cands := []*compiler.Compiled{cs[1]}
 	for _, p := range []compiler.Placer{compiler.GreedyPlacer{}, compiler.MeshPlacer{}} {
-		m, err := bnn.NewModel("CNN-S", 1)
+		m, err := bnn.Arch("CNN-S")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 func compileOne(t *testing.T, name string, placer compiler.Placer, cfg arch.Config) *compiler.Compiled {
 	t.Helper()
-	m, err := bnn.NewModel(name, 1)
+	m, err := bnn.Arch(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestWeightLoadCostErrors(t *testing.T) {
 	}
 	bad := cfg
 	bad.Nodes = 0
-	m, _ := bnn.NewModel("MLP-S", 1)
+	m, _ := bnn.Arch("MLP-S")
 	c, _ := compiler.Compile(m, cfg, arch.TacitEPCM)
 	if _, err := WeightLoadCost(c, bad); err == nil {
 		t.Fatal("expected config error")

@@ -84,7 +84,7 @@ func TestSimOrderingProperty(t *testing.T) {
 func TestSimDeterministic(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	s, _ := New(cfg, energy.DefaultCostParams())
-	m, _ := bnn.NewModel("CNN-S", 1)
+	m, _ := bnn.Arch("CNN-S")
 	c, err := compiler.Compile(m, cfg, arch.EinsteinBarrier)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestSimDeterministic(t *testing.T) {
 // untouched — the knob/effect coupling behind Fig. 8's observation 1.
 func TestEnergyScalesWithADCCost(t *testing.T) {
 	cfg := arch.DefaultConfig()
-	m, _ := bnn.NewModel("MLP-S", 1)
+	m, _ := bnn.Arch("MLP-S")
 
 	run := func(costs energy.CostParams, d arch.Design) float64 {
 		s, err := New(cfg, costs)
@@ -135,7 +135,7 @@ func TestEnergyScalesWithADCCost(t *testing.T) {
 // tracks the PCSA row-step time.
 func TestLatencyScalesWithRowStep(t *testing.T) {
 	cfg := arch.DefaultConfig()
-	m, _ := bnn.NewModel("MLP-S", 1)
+	m, _ := bnn.Arch("MLP-S")
 	run := func(costs energy.CostParams, d arch.Design) float64 {
 		s, _ := New(cfg, costs)
 		c, err := compiler.Compile(m, cfg, d)

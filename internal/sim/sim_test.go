@@ -20,7 +20,7 @@ func newSim(t *testing.T) *Simulator {
 
 func compiled(t *testing.T, model string, d arch.Design) *compiler.Compiled {
 	t.Helper()
-	m, err := bnn.NewModel(model, 1)
+	m, err := bnn.Arch(model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPerLayerSumsToTotal(t *testing.T) {
 
 func TestWDMCapacitySweepMonotone(t *testing.T) {
 	// More wavelengths → never slower (E6 sanity).
-	m, err := bnn.NewModel("CNN-M", 1)
+	m, err := bnn.Arch("CNN-M")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWDMCapacitySweepMonotone(t *testing.T) {
 
 func TestRunModelOnDesigns(t *testing.T) {
 	s := newSim(t)
-	m, _ := bnn.NewModel("MLP-S", 1)
+	m, _ := bnn.Arch("MLP-S")
 	results, err := RunModelOnDesigns(s, func(d arch.Design) (*compiler.Compiled, error) {
 		return compiler.Compile(m, arch.DefaultConfig(), d)
 	})
