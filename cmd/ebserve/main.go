@@ -378,6 +378,9 @@ func runLifetimeMode(o options, design arch.Design, out io.Writer) error {
 	if !finitePositive(o.lifetimes) || !finitePositive(o.driftHorizon) {
 		return fmt.Errorf("-lifetimes %g and -drift-horizon %g must be finite and > 0", o.lifetimes, o.driftHorizon)
 	}
+	if !(o.driftNu >= 0) || math.IsInf(o.driftNu, 1) {
+		return fmt.Errorf("-drift-nu %g must be finite and ≥ 0 (0 = device default)", o.driftNu)
+	}
 	hw := robust.DefaultConfig(device.EPCM)
 	hw.Array.Seed = o.seed + 6
 	if o.driftNu > 0 {
@@ -412,7 +415,7 @@ func runLifetimeMode(o options, design arch.Design, out io.Writer) error {
 	if o.noPrice {
 		sc.Design = -1
 	}
-	if o.diurnalBase > 0 {
+	if o.diurnalBase != 0 { // serve.DiurnalSchedule rejects a negative or NaN base
 		peak := o.diurnalPeak
 		if peak <= 0 {
 			peak = 4 * o.diurnalBase
@@ -514,8 +517,8 @@ func parseRates(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || r < 0 {
-			return nil, fmt.Errorf("bad -rate entry %q (want non-negative numbers)", f)
+		if err != nil || !(r >= 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("bad -rate entry %q (want finite non-negative numbers)", f)
 		}
 		out = append(out, r)
 	}

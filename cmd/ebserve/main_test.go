@@ -87,6 +87,14 @@ func TestFlagErrors(t *testing.T) {
 		"infinite drift horizon":   {"-lifetime", "-drift-horizon", "Inf", "-requests", "24"},
 		"NaN lifetimes":            {"-lifetime", "-lifetimes", "NaN", "-requests", "24"},
 		"infinite lifetimes":       {"-lifetime", "-lifetimes", "+Inf", "-requests", "24"},
+		"NaN rate":                 {"-loadgen", "-rate", "nan", "-requests", "20", "-json"},
+		"infinite rate":            {"-loadgen", "-rate", "inf", "-requests", "20", "-json"},
+		"NaN accuracy floor":       {"-lifetime", "-accuracy-floor", "nan", "-requests", "24"},
+		"accuracy floor above 1":   {"-lifetime", "-accuracy-floor", "1.5", "-requests", "24"},
+		"NaN fault rate":           {"-lifetime", "-fault-rate", "nan", "-requests", "24"},
+		"NaN drift exponent":       {"-lifetime", "-drift-nu", "nan", "-requests", "24"},
+		"NaN diurnal base":         {"-lifetime", "-diurnal-base", "nan", "-requests", "24"},
+		"NaN diurnal peak":         {"-lifetime", "-diurnal-base", "100", "-diurnal-peak", "nan", "-requests", "24"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run(%v) succeeded, want error", name, args)

@@ -64,6 +64,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *batch < 1 {
+		return fmt.Errorf("-batch %d must be ≥ 1", *batch)
+	}
 	if *traceCand != "" && *placerName != "search" {
 		return fmt.Errorf("-trace-candidate needs -placer search")
 	}
@@ -145,7 +148,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  VCores used:          %d / %d\n", c.VCoresUsed, cfg.TotalVCores())
 	hops, chipHops := sendHops(c)
 	fmt.Fprintf(out, "  placement:            %s, %d layer spans over %d tiles, %d total hops, %d chip hops\n",
-		c.Placement.Placer, len(c.Placement.Layers), c.Placement.TotalTiles(spec.EffectiveArch(cfg)), hops, chipHops)
+		c.Placement.Placer, len(c.Placement.Layers), c.Placement.TotalTiles(cfg), hops, chipHops)
 	if ms != nil {
 		st, ec := ms.Stats, ms.Eval
 		improved := "matched the best heuristic"
@@ -260,11 +263,9 @@ func runCoLocation(out io.Writer, names []string, designName, placer string, cfg
 	if err != nil {
 		return err
 	}
-	spec, err := d.Spec()
-	if err != nil {
+	if _, err := d.Spec(); err != nil {
 		return err
 	}
-	ecfg := spec.EffectiveArch(cfg.Arch)
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
@@ -288,7 +289,7 @@ func runCoLocation(out io.Writer, names []string, designName, placer string, cfg
 			r.AggregatePerSec, r.FairnessJain, r.InterferenceWaitNs/1e3, r.MakespanNs/1e3)},
 	}
 	for i, mr := range r.Models {
-		t.Add(mr.ModelName, mr.Region.String(), cs[i].Placement.TotalTiles(ecfg),
+		t.Add(mr.ModelName, mr.Region.String(), cs[i].Placement.TotalTiles(cfg.Arch),
 			mr.IsolatedPerSec, mr.ThroughputPerSec, mr.SlowdownX, mr.LinkWaitNs/1e3)
 	}
 	for _, ms := range msearch {

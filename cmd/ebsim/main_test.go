@@ -90,6 +90,10 @@ func TestPlacerDrillDown(t *testing.T) {
 	if err := run([]string{"-placer", "warp"}, io.Discard); err == nil {
 		t.Fatal("unknown placer must error")
 	}
+	var buf bytes.Buffer
+	if err := run([]string{"-batch", "0"}, &buf); err == nil || buf.Len() != 0 {
+		t.Fatalf("-batch 0 must fail before any output: err %v, wrote %q", err, buf.String())
+	}
 }
 
 // TestOneAnswerPerModelDesign: one model × design × placer gets one

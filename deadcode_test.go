@@ -84,8 +84,6 @@ var deadcodeAllow = map[string]string{
 
 	// (f) Retained for now: the named tests, which the regression floor
 	// keeps, are their only callers. Delete each with its tests.
-	"internal/arch.Config.Index":                               "(f) TestVCoreIndexRoundTrip, TestVCoreIndexErrors",
-	"internal/arch.Config.VCoreByIndex":                        "(f) TestVCoreIndexRoundTrip, TestVCoreIndexErrors, TestVCoreByIndexStructure",
 	"internal/bitops.BipolarDot":                               "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.Concat":                                   "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.FromBipolar":                              "(f) bitops vector, matrix, flat and blit tests",
@@ -114,8 +112,6 @@ var deadcodeAllow = map[string]string{
 	"internal/bitops.Vector.XnorInto":                          "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.Vector.Xor":                               "(f) bitops vector, matrix, flat and blit tests",
 	"internal/bitops.Vector.XorInto":                           "(f) bitops vector, matrix, flat and blit tests",
-	"internal/compiler.Lowered.Config":                         "(f) TestLoweredAccessors",
-	"internal/compiler.Lowered.Demands":                        "(f) TestLoweredAccessors",
 	"internal/crossbar.Array.ADCStepsPerVMM":                   "(f) TestADCStepsPerVMM",
 	"internal/crossbar.Array.ColumnMap":                        "(f) column-repair tests",
 	"internal/crossbar.Array.MaxPopcountError":                 "(f) TestMaxPopcountErrorBound; repair",
@@ -142,7 +138,6 @@ var deadcodeAllow = map[string]string{
 	"internal/photonics.TransmitterConfig.Modulate":            "(f) WDM frame and receiver tests",
 	"internal/photonics.TransmitterConfig.WorstCaseEyeOpening": "(f) WDM frame and receiver tests",
 	"internal/sim.LoadCost.AmortizedOverhead":                  "(f) TestAmortizedOverheadShrinks",
-	"internal/sim.RunModelOnDesigns":                           "(f) TestRunModelOnDesigns",
 }
 
 // listedPkg is the part of `go list -json` output the audit reads.

@@ -158,34 +158,3 @@ func (c Config) EffectiveK(d Design) int {
 	}
 	return c.WDMCapacity
 }
-
-// VCoreID identifies one crossbar in the hierarchy.
-type VCoreID struct {
-	Node, Tile, ECore, VCore int
-}
-
-// VCoreByIndex maps a flat index to its hierarchical ID.
-func (c Config) VCoreByIndex(i int) (VCoreID, error) {
-	if i < 0 || i >= c.TotalVCores() {
-		return VCoreID{}, fmt.Errorf("arch: vcore index %d outside [0,%d)", i, c.TotalVCores())
-	}
-	id := VCoreID{}
-	id.VCore = i % c.VCoresPerECore
-	i /= c.VCoresPerECore
-	id.ECore = i % c.ECoresPerTile
-	i /= c.ECoresPerTile
-	id.Tile = i % c.TilesPerNode
-	id.Node = i / c.TilesPerNode
-	return id, nil
-}
-
-// Index maps a hierarchical ID back to its flat index.
-func (c Config) Index(id VCoreID) (int, error) {
-	if id.Node < 0 || id.Node >= c.Nodes ||
-		id.Tile < 0 || id.Tile >= c.TilesPerNode ||
-		id.ECore < 0 || id.ECore >= c.ECoresPerTile ||
-		id.VCore < 0 || id.VCore >= c.VCoresPerECore {
-		return 0, fmt.Errorf("arch: invalid vcore id %+v", id)
-	}
-	return ((id.Node*c.TilesPerNode+id.Tile)*c.ECoresPerTile+id.ECore)*c.VCoresPerECore + id.VCore, nil
-}

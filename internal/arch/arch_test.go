@@ -2,7 +2,6 @@ package arch
 
 import (
 	"testing"
-	"testing/quick"
 
 	"einsteinbarrier/internal/device"
 )
@@ -75,45 +74,5 @@ func TestEffectiveK(t *testing.T) {
 	}
 	if c.EffectiveK(EinsteinBarrier) != c.WDMCapacity {
 		t.Fatal("EinsteinBarrier must see full K")
-	}
-}
-
-func TestVCoreIndexRoundTrip(t *testing.T) {
-	c := DefaultConfig()
-	f := func(raw uint16) bool {
-		i := int(raw) % c.TotalVCores()
-		id, err := c.VCoreByIndex(i)
-		if err != nil {
-			return false
-		}
-		back, err := c.Index(id)
-		return err == nil && back == i
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVCoreIndexErrors(t *testing.T) {
-	c := DefaultConfig()
-	if _, err := c.VCoreByIndex(-1); err == nil {
-		t.Fatal("negative index should fail")
-	}
-	if _, err := c.VCoreByIndex(c.TotalVCores()); err == nil {
-		t.Fatal("overflow index should fail")
-	}
-	if _, err := c.Index(VCoreID{Node: c.Nodes}); err == nil {
-		t.Fatal("bad id should fail")
-	}
-}
-
-func TestVCoreByIndexStructure(t *testing.T) {
-	c := DefaultConfig()
-	id, err := c.VCoreByIndex(c.VCoresPerECore) // first VCore of second ECore
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id.VCore != 0 || id.ECore != 1 || id.Tile != 0 || id.Node != 0 {
-		t.Fatalf("id = %+v", id)
 	}
 }

@@ -63,9 +63,6 @@ type DesignSpec struct {
 	// cell holds BitsPerCell weight-bit slices (device/mlc.go). Binary
 	// layers keep the robust two-level [w;¬w] mapping regardless.
 	MLC *device.MLCParams
-	// TuneArch, when non-nil, adapts the shared architecture
-	// configuration for this design (geometry hooks).
-	TuneArch func(Config) Config
 	// TuneCosts, when non-nil, adapts the shared cost table for this
 	// design (cost hooks — e.g. a higher-resolution readout for MLC).
 	TuneCosts func(energy.CostParams) energy.CostParams
@@ -99,14 +96,6 @@ func (s DesignSpec) BitsPerCell() int {
 		return 1
 	}
 	return s.MLC.BitsPerCell()
-}
-
-// EffectiveArch applies the design's architecture hook.
-func (s DesignSpec) EffectiveArch(cfg Config) Config {
-	if s.TuneArch != nil {
-		return s.TuneArch(cfg)
-	}
-	return cfg
 }
 
 // EffectiveCosts applies the design's cost hook.

@@ -31,7 +31,6 @@ func layerDemands(model bnn.Network, cfg arch.Config, design arch.Design) ([]Lay
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
-	cfg = spec.EffectiveArch(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,16 +94,14 @@ func CompileSet(models []bnn.Network, cfg arch.Config, design arch.Design, opts 
 	if placer == nil {
 		placer = GreedyPlacer{}
 	}
-	spec, err := design.Spec()
-	if err != nil {
+	if _, err := design.Spec(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
-	ecfg := spec.EffectiveArch(cfg)
-	if err := ecfg.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := ecfg.MeshWidth()
-	chipH := ceilDiv(ecfg.TilesPerNode, w)
+	w := cfg.MeshWidth()
+	chipH := ceilDiv(cfg.TilesPerNode, w)
 
 	out := make([]*Compiled, 0, len(models))
 	chip, row := 0, 0 // carving cursor
@@ -116,39 +113,39 @@ func CompileSet(models []bnn.Network, cfg arch.Config, design arch.Design, opts 
 		// Candidate regions, most local first: the rest of the current
 		// chip, a fresh chip, then all remaining chips (sharded models).
 		var candidates []Region
-		if chip < ecfg.Nodes && row > 0 && row < chipH {
+		if chip < cfg.Nodes && row > 0 && row < chipH {
 			candidates = append(candidates, Region{Chip: chip, Chips: 1, X0: 0, Y0: row, W: w, H: chipH - row})
 		}
 		fresh := chip
 		if row > 0 {
 			fresh = chip + 1
 		}
-		if fresh < ecfg.Nodes {
+		if fresh < cfg.Nodes {
 			candidates = append(candidates, Region{Chip: fresh, Chips: 1, X0: 0, Y0: 0, W: w, H: chipH})
-			if ecfg.Nodes-fresh > 1 {
-				candidates = append(candidates, Region{Chip: fresh, Chips: ecfg.Nodes - fresh, X0: 0, Y0: 0, W: w, H: chipH})
+			if cfg.Nodes-fresh > 1 {
+				candidates = append(candidates, Region{Chip: fresh, Chips: cfg.Nodes - fresh, X0: 0, Y0: 0, W: w, H: chipH})
 			}
 		}
 		var placed *Placement
 		var region Region
 		for _, cand := range candidates {
-			p, err := placer.Place(demands, ecfg, cand)
+			p, err := placer.Place(demands, cfg, cand)
 			if err != nil {
 				continue
 			}
 			// Shrink the region to the rows actually used so the next
 			// model starts right below, then re-place for consistent
 			// region-relative ids.
-			chips, lastRows := usedExtent(p, ecfg)
+			chips, lastRows := usedExtent(p, cfg)
 			shrunk := cand
 			shrunk.Chips = chips
 			if chips == 1 {
 				shrunk.H = lastRows - shrunk.Y0
 			}
-			if p, err = placer.Place(demands, ecfg, shrunk); err != nil {
+			if p, err = placer.Place(demands, cfg, shrunk); err != nil {
 				// The shrunk region must still fit; if packing is
 				// order-sensitive fall back to the full candidate.
-				p, err = placer.Place(demands, ecfg, cand)
+				p, err = placer.Place(demands, cfg, cand)
 				if err != nil {
 					continue
 				}
@@ -159,7 +156,7 @@ func CompileSet(models []bnn.Network, cfg arch.Config, design arch.Design, opts 
 		}
 		if placed == nil {
 			return nil, fmt.Errorf("compiler: fabric exhausted placing %s (cursor chip %d row %d): %d models need more than %d chips of %d tiles",
-				m.Name(), chip, row, len(models), ecfg.Nodes, ecfg.TilesPerNode)
+				m.Name(), chip, row, len(models), cfg.Nodes, cfg.TilesPerNode)
 		}
 		c, err := CompileWith(m, cfg, design, Options{Placer: placer, Region: &region})
 		if err != nil {
@@ -181,7 +178,7 @@ func CompileSet(models []bnn.Network, cfg arch.Config, design arch.Design, opts 
 	owner := map[int]string{}
 	for _, c := range out {
 		for li := range c.Placement.Layers {
-			for _, g := range c.Placement.GlobalTiles(li, ecfg) {
+			for _, g := range c.Placement.GlobalTiles(li, cfg) {
 				if prev, taken := owner[g]; taken && prev != c.ModelName {
 					return nil, fmt.Errorf("compiler: models %s and %s overlap on tile %d",
 						prev, c.ModelName, g)

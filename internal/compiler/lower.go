@@ -22,7 +22,7 @@ type Lowered struct {
 	ModelName string
 	Design    arch.Design
 
-	cfg  arch.Config // effective architecture (spec hooks applied)
+	cfg  arch.Config
 	mesh noc.Config
 
 	// layerProgs are the per-layer instruction templates, each ending
@@ -36,15 +36,6 @@ type Lowered struct {
 	weightWrites int64
 }
 
-// Config returns the effective architecture the model was lowered for.
-func (lw *Lowered) Config() arch.Config { return lw.cfg }
-
-// Demands returns a copy of the per-layer resource demands (the placer
-// input).
-func (lw *Lowered) Demands() []LayerDemand {
-	return append([]LayerDemand{}, lw.demands...)
-}
-
 // lower runs the placement-independent compilation prefix: it resolves
 // the design spec, validates the model, and lowers every layer to its
 // instruction template, demand and allocation.
@@ -53,7 +44,6 @@ func lower(model bnn.Network, cfg arch.Config, design arch.Design) (*Lowered, er
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
-	cfg = spec.EffectiveArch(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -82,24 +82,3 @@ func TestLoweredReuseIsPure(t *testing.T) {
 		t.Fatal("hoisted shard compile differs from fresh CompileWith")
 	}
 }
-
-// TestLoweredAccessors: the exposed prefix data is defensive-copied.
-func TestLoweredAccessors(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	m := mustModel(t, "MLP-S")
-	lw, err := lower(m, cfg, arch.EinsteinBarrier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := lw.Demands()
-	if len(d) == 0 {
-		t.Fatal("no demands")
-	}
-	d[0].VCores = -999
-	if lw.Demands()[0].VCores == -999 {
-		t.Fatal("Demands leaked internal state")
-	}
-	if lw.Config() != lw.cfg {
-		t.Fatal("Config accessor mismatch")
-	}
-}

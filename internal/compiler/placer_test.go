@@ -330,18 +330,13 @@ func TestPlacementAcrossDesigns(t *testing.T) {
 	for _, name := range bnn.ZooNames {
 		m := mustModel(t, name)
 		for _, d := range []arch.Design{arch.BaselineEPCM, arch.TacitEPCM, arch.EinsteinBarrier} {
-			spec, err := d.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ecfg := spec.EffectiveArch(cfg)
-			maxHops := 2 * (ecfg.MeshWidth() - 1)
+			maxHops := 2 * (cfg.MeshWidth() - 1)
 			for _, p := range heuristicPlacers {
 				c, err := CompileWith(m, cfg, d, Options{Placer: p})
 				if err != nil {
 					t.Fatalf("%s/%v/%s: %v", name, d, p.Name(), err)
 				}
-				if err := c.Placement.Validate(ecfg); err != nil {
+				if err := c.Placement.Validate(cfg); err != nil {
 					t.Fatalf("%s/%v/%s: %v", name, d, p.Name(), err)
 				}
 				if err := c.Program.Validate(); err != nil {

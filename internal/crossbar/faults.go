@@ -34,7 +34,8 @@ type FaultModel struct {
 
 // Validate checks the model.
 func (f FaultModel) Validate() error {
-	if f.StuckOnRate < 0 || f.StuckOffRate < 0 || f.StuckOnRate+f.StuckOffRate > 1 {
+	// Negated form: a NaN rate fails every comparison.
+	if !(f.StuckOnRate >= 0 && f.StuckOffRate >= 0 && f.StuckOnRate+f.StuckOffRate <= 1) {
 		return fmt.Errorf("crossbar: bad fault rates on=%g off=%g", f.StuckOnRate, f.StuckOffRate)
 	}
 	return nil

@@ -14,6 +14,8 @@ func TestFaultModelValidate(t *testing.T) {
 		{StuckOnRate: -0.1},
 		{StuckOffRate: -0.1},
 		{StuckOnRate: 0.6, StuckOffRate: 0.6},
+		{StuckOnRate: math.NaN()},
+		{StuckOffRate: math.NaN()},
 	}
 	for i, f := range bad {
 		if err := f.Validate(); err == nil {

@@ -37,7 +37,6 @@ func lifetimeScenario() LifetimeScenario {
 		Lifetime: serve.LifetimeConfig{
 			CanaryEvery: 3,
 			Floor:       0.99,
-			Window:      4,
 			FlagAfter:   2,
 		},
 		SecondsPerSample: 20,

@@ -64,8 +64,7 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 	if batch < 1 {
 		return nil, fmt.Errorf("eval: batch %d must be ≥ 1", batch)
 	}
-	spec, err := d.Spec()
-	if err != nil {
+	if _, err := d.Spec(); err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
 	for _, pname := range placers {
@@ -73,9 +72,6 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 			return nil, err
 		}
 	}
-	// Tile accounting must use the design's effective geometry (TuneArch
-	// hooks may resize the fabric the placement was computed against).
-	ecfg := spec.EffectiveArch(cfg.Arch)
 	simulator, err := sim.New(cfg.Arch, cfg.Costs)
 	if err != nil {
 		return nil, err
@@ -100,7 +96,7 @@ func ComparePlacements(cfg Config, networks []string, placers []string, d arch.D
 			row.Search = &ms.Stats
 		}
 		row.VCores = c.VCoresUsed
-		row.Tiles = c.Placement.TotalTiles(ecfg)
+		row.Tiles = c.Placement.TotalTiles(cfg.Arch)
 		for _, in := range c.Program {
 			if in.Op == isa.OpSend {
 				row.TotalHops += in.Hops

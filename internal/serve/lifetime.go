@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,9 @@ func (c BatchClock) Tick(n int) float64 {
 	return float64(n) * c.SecondsPerSample
 }
 
+// canaryWindow is the canary accuracies kept per replica.
+const canaryWindow = 4
+
 // LifetimeConfig switches the server into device-lifetime mode.
 type LifetimeConfig struct {
 	// Clock drives simulated device ageing per served batch. Required.
@@ -57,16 +61,13 @@ type LifetimeConfig struct {
 	// Floor is the canary accuracy below which a pass counts against
 	// the replica (default 0.95).
 	Floor float64
-	// Window is the canary accuracies kept per replica (default 4).
-	Window int
 	// FlagAfter is the consecutive below-floor passes before the
 	// replica is flagged for recalibration (default 2) — the hysteresis.
 	FlagAfter int
 	// Fallback, when non-nil, enables fail-open: a software replica of
-	// this model serves whenever no hardware replica is in rotation.
+	// this model (one infer worker per CPU) serves whenever no hardware
+	// replica is in rotation.
 	Fallback *bnn.Model
-	// FallbackWorkers sizes the fallback infer pool (< 1: one per CPU).
-	FallbackWorkers int
 	// FaultRatePerSecond, when > 0, grows a stuck-OFF defect population
 	// with device wear: at total wear w seconds the stuck-off rate is
 	// min(0.5, FaultRatePerSecond·w), re-drawn from FaultSeed so the
@@ -83,9 +84,6 @@ func (c *LifetimeConfig) withDefaults() *LifetimeConfig {
 	if out.Floor <= 0 {
 		out.Floor = 0.95
 	}
-	if out.Window <= 0 {
-		out.Window = 4
-	}
 	if out.FlagAfter <= 0 {
 		out.FlagAfter = 2
 	}
@@ -99,8 +97,11 @@ func (c *LifetimeConfig) validate() error {
 	if c.Canary == nil {
 		return fmt.Errorf("serve: lifetime mode needs a CanarySet")
 	}
-	if c.FaultRatePerSecond < 0 {
-		return fmt.Errorf("serve: negative fault arrival rate")
+	if !(c.Floor > 0 && c.Floor <= 1) {
+		return fmt.Errorf("serve: canary accuracy floor %g outside (0, 1]", c.Floor)
+	}
+	if !(c.FaultRatePerSecond >= 0) || math.IsInf(c.FaultRatePerSecond, 1) {
+		return fmt.Errorf("serve: fault arrival rate %g must be finite and ≥ 0", c.FaultRatePerSecond)
 	}
 	return nil
 }
@@ -218,7 +219,7 @@ func newLifetime(cfg *LifetimeConfig, workers int) *lifetime {
 	l.cond = sync.NewCond(&l.mu)
 	for i := range l.reps {
 		l.reps[i].state = repActive
-		l.reps[i].health = newHealthWindow(cfg.Floor, cfg.Window, cfg.FlagAfter)
+		l.reps[i].health = newHealthWindow(cfg.Floor, canaryWindow, cfg.FlagAfter)
 		l.gone[i] = make(chan struct{})
 	}
 	return l

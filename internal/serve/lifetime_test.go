@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"einsteinbarrier/internal/device"
 	"einsteinbarrier/internal/robust"
-	"einsteinbarrier/internal/tensor"
 )
 
 // lifetimeCorner is the deterministic device corner for the closed-loop
@@ -81,7 +79,6 @@ func TestClosedLoopRecalibration(t *testing.T) {
 			Clock:       BatchClock{SecondsPerSample: 10},
 			CanaryEvery: 2,
 			Floor:       0.99,
-			Window:      4,
 			FlagAfter:   2,
 		}
 	}
@@ -182,7 +179,6 @@ func TestClosedLoopAcrossWorkerCounts(t *testing.T) {
 				Clock:       BatchClock{SecondsPerSample: 40},
 				CanaryEvery: 2,
 				Floor:       0.99,
-				Window:      4,
 				FlagAfter:   2,
 			}
 			out := runLifetimeScenario(t, workers, life, 48)
@@ -218,7 +214,6 @@ func TestFallbackFailOpen(t *testing.T) {
 		Clock:       BatchClock{SecondsPerSample: 10},
 		CanaryEvery: 2,
 		Floor:       0.99,
-		Window:      4,
 		FlagAfter:   2,
 		// Wear 0.004/s: by the first flag (age ~100 s) the stuck-off
 		// population is large enough that recalibration cannot restore
@@ -226,7 +221,6 @@ func TestFallbackFailOpen(t *testing.T) {
 		FaultRatePerSecond: 0.004,
 		FaultSeed:          5,
 		Fallback:           model,
-		FallbackWorkers:    1,
 	}
 	out := runLifetimeScenario(t, 1, life, 48)
 	lt := out.snap.Lifetime
@@ -318,83 +312,6 @@ func TestHealthWindowHysteresis(t *testing.T) {
 	}
 	if h.mean() != 1 {
 		t.Fatalf("fresh window mean %v, want presumed-healthy 1", h.mean())
-	}
-}
-
-// --- transient-error retry ----------------------------------------------
-
-// flakyBackend fails the first attempt of every batch.
-type flakyBackend struct {
-	inner Backend
-}
-
-func (b *flakyBackend) Name() string      { return "flaky/" + b.inner.Name() }
-func (b *flakyBackend) InputShape() []int { return b.inner.InputShape() }
-func (b *flakyBackend) NewReplica() (Replica, error) {
-	r, err := b.inner.NewReplica()
-	if err != nil {
-		return nil, err
-	}
-	return &flakyReplica{inner: r}, nil
-}
-
-type flakyReplica struct {
-	inner Replica
-	calls int
-}
-
-func (r *flakyReplica) RunBatch(xs []*tensor.Float, out []Prediction) error {
-	r.calls++
-	if r.calls%2 == 1 {
-		return errors.New("transient hiccup")
-	}
-	return r.inner.RunBatch(xs, out)
-}
-
-// TestRetryAbsorbsTransientErrors: with MaxRetries, a replica that
-// fails every first attempt still serves every request; without
-// retries, clients see the errors.
-func TestRetryAbsorbsTransientErrors(t *testing.T) {
-	model := zooModel(t, "MLP-S")
-	sw, err := NewSoftwareBackend(model, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Backend: &flakyBackend{inner: sw}, MaxBatch: 4,
-		MaxRetries: 2, RetryBackoff: 100 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	for i, x := range testInputs(t, model, 8, 3) {
-		if _, err := s.submit(x); err != nil {
-			t.Fatalf("request %d not absorbed by retry: %v", i, err)
-		}
-	}
-	s.Stop()
-	snap := s.Stats()
-	if snap.Retried == 0 {
-		t.Fatal("no retries recorded")
-	}
-	if snap.Failed != 0 || snap.Completed != 8 {
-		t.Fatalf("accounting: %+v", snap)
-	}
-
-	// Control: no retries → client-visible failures.
-	s2, err := New(Config{Backend: &flakyBackend{inner: sw}, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Start()
-	sawErr := false
-	for _, x := range testInputs(t, model, 4, 3) {
-		if _, err := s2.submit(x); err != nil {
-			sawErr = true
-		}
-	}
-	s2.Stop()
-	if !sawErr {
-		t.Fatal("flaky backend without retries never surfaced an error")
 	}
 }
 

@@ -49,8 +49,8 @@ func (c LoadConfig) validate() error {
 		return fmt.Errorf("serve: loadgen needs Requests > 0, got %d", c.Requests)
 	case len(c.Inputs) == 0:
 		return fmt.Errorf("serve: loadgen needs at least one input payload")
-	case c.Rate < 0:
-		return fmt.Errorf("serve: negative arrival rate %g", c.Rate)
+	case !(c.Rate >= 0) || math.IsInf(c.Rate, 1):
+		return fmt.Errorf("serve: arrival rate %g must be finite and ≥ 0", c.Rate)
 	case len(c.Arrivals) > 0 && len(c.Arrivals) < c.Requests:
 		return fmt.Errorf("serve: %d arrivals for %d requests", len(c.Arrivals), c.Requests)
 	}
@@ -97,10 +97,11 @@ func Schedule(seed int64, rate float64, n int) []time.Duration {
 // Schedule.
 func DiurnalSchedule(seed int64, baseRate, peakRate float64, period time.Duration, n int) ([]time.Duration, error) {
 	switch {
-	case baseRate <= 0:
-		return nil, fmt.Errorf("serve: diurnal base rate %g must be > 0", baseRate)
-	case peakRate < baseRate:
-		return nil, fmt.Errorf("serve: diurnal peak rate %g below base %g", peakRate, baseRate)
+	case !(baseRate > 0) || math.IsInf(baseRate, 1):
+		return nil, fmt.Errorf("serve: diurnal base rate %g must be finite and > 0", baseRate)
+	case !(peakRate >= baseRate) || math.IsInf(peakRate, 1):
+		// A NaN peak would never accept an arrival.
+		return nil, fmt.Errorf("serve: diurnal peak rate %g must be finite and ≥ base %g", peakRate, baseRate)
 	case period <= 0:
 		return nil, fmt.Errorf("serve: diurnal period %v must be > 0", period)
 	case n <= 0:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +232,8 @@ func TestLoadConfigValidation(t *testing.T) {
 		"no requests": {Inputs: testInputs(t, model, 1, 1)},
 		"no inputs":   {Requests: 5},
 		"neg rate":    {Requests: 5, Rate: -1, Inputs: testInputs(t, model, 1, 1)},
+		"NaN rate":    {Requests: 5, Rate: math.NaN(), Inputs: testInputs(t, model, 1, 1)},
+		"inf rate":    {Requests: 5, Rate: math.Inf(1), Inputs: testInputs(t, model, 1, 1)},
 	} {
 		if _, err := Run(s, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -347,6 +350,8 @@ func TestDiurnalSchedule(t *testing.T) {
 		"peak below base": func() ([]time.Duration, error) { return DiurnalSchedule(9, 10, 5, time.Second, 10) },
 		"zero period":     func() ([]time.Duration, error) { return DiurnalSchedule(9, 10, 100, 0, 10) },
 		"zero n":          func() ([]time.Duration, error) { return DiurnalSchedule(9, 10, 100, time.Second, 0) },
+		"NaN peak":        func() ([]time.Duration, error) { return DiurnalSchedule(9, 10, math.NaN(), time.Second, 10) },
+		"infinite base":   func() ([]time.Duration, error) { return DiurnalSchedule(9, math.Inf(1), math.Inf(1), time.Second, 10) },
 	} {
 		if _, err := call(); err == nil {
 			t.Fatalf("%s: want error", name)

@@ -53,7 +53,6 @@ type metrics struct {
 	shed     atomic.Int64
 	rejected atomic.Int64
 	timedOut atomic.Int64
-	retries  atomic.Int64
 
 	mu        sync.Mutex
 	completed int64
@@ -163,13 +162,11 @@ type Snapshot struct {
 	Rejected int64 `json:"rejected"`
 	// TimedOut counts HTTP requests whose context deadline expired
 	// before the reply (504s); the request itself still completed
-	// server-side. Retried counts batch re-executions after transient
-	// replica errors. FallbackServed counts samples answered by the
+	// server-side. FallbackServed counts samples answered by the
 	// fail-open software path (lifetime mode; also inside the Lifetime
 	// block — surfaced here so the cumulative counters read uniformly
 	// on /metrics).
 	TimedOut       int64 `json:"timed_out"`
-	Retried        int64 `json:"retried"`
 	FallbackServed int64 `json:"fallback_served"`
 	// ShedRate is Shed / (Accepted + Shed).
 	ShedRate float64 `json:"shed_rate"`
@@ -207,7 +204,6 @@ func (m *metrics) snapshot(backend string, queueDepth int) Snapshot {
 		Shed:       shed,
 		Rejected:   m.rejected.Load(),
 		TimedOut:   m.timedOut.Load(),
-		Retried:    m.retries.Load(),
 		QueueDepth: queueDepth,
 	}
 	if accepted+shed > 0 {

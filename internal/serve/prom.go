@@ -99,7 +99,6 @@ func snapshotMetrics(s Snapshot, extra []string) []promMetric {
 		counter("eb_serve_shed_total", "Requests shed by a full admission queue.", float64(s.Shed)),
 		counter("eb_serve_rejected_total", "Requests failing shape validation.", float64(s.Rejected)),
 		counter("eb_serve_timed_out_total", "HTTP requests whose deadline expired before the reply.", float64(s.TimedOut)),
-		counter("eb_serve_retried_total", "Batch re-executions after transient replica errors.", float64(s.Retried)),
 		counter("eb_serve_fallback_served_total", "Samples answered by the fail-open software path.", float64(s.FallbackServed)),
 		counter("eb_serve_completed_total", "Requests answered successfully.", float64(s.Completed)),
 		counter("eb_serve_failed_total", "Requests answered with an error.", float64(s.Failed)),

@@ -74,20 +74,13 @@ type Config struct {
 	// Pricer, when non-nil, prices every served batch on the simulated
 	// accelerator (see NewPricer).
 	Pricer *Pricer
-	// MaxRetries re-runs a failed batch on its replica up to this many
-	// extra times before failing the requests (default 0: no retries) —
-	// transient-fault absorption at the batcher layer.
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt (default 0: immediate).
-	RetryBackoff time.Duration
 	// Lifetime, when non-nil, turns on device-lifetime mode: replicas
 	// age with served work, canary probes detect degradation, and a
 	// closed loop drains + recalibrates flagged replicas. Requires every
 	// replica to implement LifetimeReplica (i.e. a hardware backend).
 	Lifetime *LifetimeConfig
 	// Trace, when non-nil, records per-request spans, per-worker batch
-	// slices, retry/drain/fallback transitions and sim-pricer joins
+	// slices, drain/fallback transitions and sim-pricer joins
 	// into the shared trace ring (internal/trace) — snapshot it live
 	// via GET /trace. The ring keeps the newest events under overflow.
 	Trace *trace.Recorder
@@ -106,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
 	}
 	if c.Lifetime != nil {
 		c.Lifetime = c.Lifetime.withDefaults()
@@ -217,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		if m := cfg.Lifetime.Fallback; m != nil {
-			fb, err := NewSoftwareBackend(m, cfg.Lifetime.FallbackWorkers)
+			fb, err := NewSoftwareBackend(m, 0)
 			if err != nil {
 				return nil, fmt.Errorf("serve: fallback: %w", err)
 			}
@@ -537,11 +527,11 @@ func (s *Server) workLoop(id int, rep Replica) {
 	}
 }
 
-// serveBatch executes one dispatched batch on a replica, retrying
-// failed runs up to Config.MaxRetries with doubling backoff, then
-// answers every request. Scratch slices live with the calling loop.
-// worker is the executing worker's id (-1 for the fallback replica) —
-// the trace attributes the batch to its track.
+// serveBatch executes one dispatched batch on a replica, then answers
+// every request; a replica error fails the whole batch. Scratch slices
+// live with the calling loop. worker is the executing worker's id (-1
+// for the fallback replica) — the trace attributes the batch to its
+// track.
 func (s *Server) serveBatch(worker int, rep Replica, job batchJob, xsp *[]*tensor.Float, predsp *[]Prediction, viaFallback bool) {
 	batch := job.reqs
 	dispatched := time.Now()
@@ -557,16 +547,6 @@ func (s *Server) serveBatch(worker int, rep Replica, job batchJob, xsp *[]*tenso
 	preds = preds[:len(batch)]
 	*predsp = preds
 	err := runReplica(rep, xs, preds)
-	for attempt := 0; err != nil && attempt < s.cfg.MaxRetries; attempt++ {
-		s.metrics.retries.Add(1)
-		if s.tr != nil {
-			s.tr.retry(worker, job.seq, attempt+1)
-		}
-		if s.cfg.RetryBackoff > 0 {
-			time.Sleep(s.cfg.RetryBackoff << attempt)
-		}
-		err = runReplica(rep, xs, preds)
-	}
 	if err == nil && s.cfg.Pricer != nil {
 		br := s.cfg.Pricer.price(len(batch))
 		if s.tr != nil {

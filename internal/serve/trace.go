@@ -20,9 +20,9 @@ import (
 //	               span start = admission, end = reply; args carry the
 //	               queue wait and the batch that served it
 //	worker N       one slice per executed batch (Seq = batch sequence,
-//	               A = batch size); retry instants; lifetime lifecycle
-//	               events (canary counters, recalibrate slices, retire
-//	               instants) for the replica the worker owns
+//	               A = batch size); lifetime lifecycle events (canary
+//	               counters, recalibrate slices, retire instants) for
+//	               the replica the worker owns
 //	fallback       same, for the fail-open software replica
 //	sim pricer     one instant per priced batch joining the serving
 //	               timeline to the engine's model: A = the simulated
@@ -47,7 +47,6 @@ type serveTrace struct {
 
 	reqNm      int32
 	batchNm    int32
-	retryNm    int32
 	fallbackNm int32
 	priceNm    int32
 	canaryNm   int32
@@ -73,7 +72,6 @@ func newServeTrace(r *trace.Recorder, backend string, workers int, hasFallback, 
 	}
 	t.reqNm = r.Intern("request")
 	t.batchNm = r.Intern("batch")
-	t.retryNm = r.Intern("retry")
 	t.fallbackNm = r.Intern("fallback-batch")
 	t.priceNm = r.Intern("sim-price")
 	t.canaryNm = r.Intern("canary")
@@ -117,14 +115,6 @@ func (t *serveTrace) batch(worker int, seq int64, dispatched time.Time, durNs in
 	t.r.Emit(trace.Event{
 		Kind: trace.KindSlice, Track: t.workerTrack(worker), Name: name,
 		Seq: seq, Start: t.sinceNs(dispatched), Dur: float64(durNs), A: float64(n),
-	})
-}
-
-// retry marks one batch re-execution after a replica error.
-func (t *serveTrace) retry(worker int, seq int64, attempt int) {
-	t.r.Emit(trace.Event{
-		Kind: trace.KindInstant, Track: t.workerTrack(worker), Name: t.retryNm,
-		Seq: seq, Start: t.sinceNs(time.Now()), A: float64(attempt),
 	})
 }
 

@@ -134,40 +134,6 @@ func TestServeTraceSpans(t *testing.T) {
 	}
 }
 
-// TestServeTraceRetryInstants pins retry attribution: a flaky replica's
-// re-executions land as instants on the worker's track.
-func TestServeTraceRetryInstants(t *testing.T) {
-	rec := trace.New(256)
-	sw, err := NewSoftwareBackend(zooModel(t, "MLP-S"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Backend: &flakyBackend{inner: sw}, MaxBatch: 4,
-		MaxRetries: 2, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	for _, x := range testInputs(t, zooModel(t, "MLP-S"), 4, 2) {
-		if _, err := s.submit(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Stop()
-	var retries int
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindInstant && rec.Name(e.Name) == "retry" {
-			retries++
-		}
-	}
-	if retries == 0 {
-		t.Fatal("no retry instants recorded")
-	}
-	if got := s.Stats().Retried; int64(retries) != got {
-		t.Fatalf("%d retry instants, %d counted retries", retries, got)
-	}
-}
-
 // TestHTTPTraceMetricsRequestID drives the three new HTTP surfaces:
 // X-Request-ID on /infer, the Chrome-trace snapshot on /trace, and the
 // Prometheus text exposition on /metrics.

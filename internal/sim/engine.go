@@ -475,15 +475,7 @@ func (e *Engine) configure(c *compiler.Compiled) error {
 	if err != nil {
 		return err
 	}
-	spec, err := c.Design.Spec()
-	if err != nil {
-		return err
-	}
-	cfg := spec.EffectiveArch(s.cfg)
-	mesh, err := s.designMesh(spec, cfg)
-	if err != nil {
-		return err
-	}
+	cfg, mesh := s.cfg, s.mesh
 	if len(costs) == 0 {
 		return fmt.Errorf("sim: program has no pipeline stages")
 	}

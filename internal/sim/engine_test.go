@@ -5,8 +5,6 @@ import (
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
-	"einsteinbarrier/internal/compiler"
-	"einsteinbarrier/internal/device"
 )
 
 // allDesigns is the paper set plus the registry-added designs — the
@@ -239,45 +237,5 @@ func TestRunBatchRejectsBadBatch(t *testing.T) {
 	}
 	if _, err := eng.RunBatch(0); err == nil {
 		t.Fatal("batch 0 must error")
-	}
-}
-
-// geomDesign registers (once) a design whose TuneArch hook reshapes the
-// tile grid — the engine must rebuild its mesh from the tuned geometry
-// instead of routing on the simulator's shared one.
-var geomDesign = arch.MustRegister(arch.DesignSpec{
-	Name:    "Test-Geometry-Tuned",
-	Tech:    device.OPCM,
-	Mapping: arch.MappingTacit,
-	WDM:     true,
-	TuneArch: func(c arch.Config) arch.Config {
-		c.TilesPerNode = 64 // 8×8 mesh instead of the shared 4×4
-		c.ECoresPerTile = 2
-		return c
-	},
-})
-
-func TestEngineHonorsTuneArchGeometry(t *testing.T) {
-	s := newSim(t)
-	m, err := bnn.Arch("CNN-M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := arch.DefaultConfig()
-	c, err := compiler.Compile(m, cfg, geomDesign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := s.NewEngine(c)
-	if err != nil {
-		t.Fatalf("engine must route on the tuned mesh: %v", err)
-	}
-	br, err := eng.RunBatch(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.ThroughputPerSec <= 0 || br.ThroughputPerSec > br.SteadyStatePerSec*(1+1e-9) {
-		t.Fatalf("tuned-geometry batch run inconsistent: %g vs ceiling %g",
-			br.ThroughputPerSec, br.SteadyStatePerSec)
 	}
 }

@@ -96,20 +96,6 @@ func (s *Simulator) Run(c *compiler.Compiled) (*Result, error) {
 	return res, err
 }
 
-// designMesh returns the interconnect model for a design: the shared
-// mesh, rebuilt (and re-validated) when the spec's TuneArch hook may
-// have changed the tile geometry.
-func (s *Simulator) designMesh(spec arch.DesignSpec, cfg arch.Config) (noc.Config, error) {
-	if spec.TuneArch == nil {
-		return s.mesh, nil
-	}
-	mesh := noc.DefaultConfig(cfg.MeshWidth())
-	if err := mesh.Validate(); err != nil {
-		return noc.Config{}, err
-	}
-	return mesh, nil
-}
-
 // price executes the instruction stream once, producing both the serial
 // single-inference Result (the exact arithmetic of the original
 // critical-path simulator — Fig. 7/8 metrics are bit-identical) and the
@@ -122,14 +108,10 @@ func (s *Simulator) price(c *compiler.Compiled) (*Result, []stageCost, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Per-design hooks: geometry and cost tables may be tuned by the
-	// registered spec (nil hooks return the shared tables unchanged).
-	cfg := spec.EffectiveArch(s.cfg)
+	cfg, mesh := s.cfg, s.mesh
+	// Per-design hook: the cost table may be tuned by the registered
+	// spec (a nil hook returns the shared table unchanged).
 	costs := spec.EffectiveCosts(s.costs)
-	mesh, err := s.designMesh(spec, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	effK := cfg.EffectiveK(c.Design)
 
 	res := &Result{ModelName: c.ModelName, Design: c.Design}
@@ -268,22 +250,4 @@ func (s *Simulator) price(c *compiler.Compiled) (*Result, []stageCost, error) {
 		stages = append(stages, cur)
 	}
 	return res, stages, nil
-}
-
-// RunModelOnDesigns compiles and simulates a model on all three CIM
-// designs, returning results keyed by design.
-func RunModelOnDesigns(s *Simulator, mcompile func(arch.Design) (*compiler.Compiled, error)) (map[arch.Design]*Result, error) {
-	out := make(map[arch.Design]*Result, len(arch.CIMDesigns))
-	for _, d := range arch.CIMDesigns {
-		c, err := mcompile(d)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.Run(c)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = r
-	}
-	return out, nil
 }

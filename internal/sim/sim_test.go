@@ -173,22 +173,3 @@ func TestWDMCapacitySweepMonotone(t *testing.T) {
 		prev = r.LatencyNs
 	}
 }
-
-func TestRunModelOnDesigns(t *testing.T) {
-	s := newSim(t)
-	m, _ := bnn.Arch("MLP-S")
-	results, err := RunModelOnDesigns(s, func(d arch.Design) (*compiler.Compiled, error) {
-		return compiler.Compile(m, arch.DefaultConfig(), d)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for d, r := range results {
-		if r.Design != d {
-			t.Fatalf("result design mismatch: %v vs %v", r.Design, d)
-		}
-	}
-}
