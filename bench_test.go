@@ -573,6 +573,44 @@ func BenchmarkPlacerSearch(b *testing.B) {
 	b.ReportMetric(st.BestScore, "inf/s")
 }
 
+// BenchmarkPlacerSearchCold measures the search the way the dse-search
+// workload runs it: one op is one cold search of every zoo network on
+// EinsteinBarrier and TacitMap-ePCM, each with a fresh evaluator, so
+// almost every candidate pays an engine Score (the warm
+// BenchmarkPlacerSearch hits its cache on 99.5 % of probes and cannot
+// see the engine). steps/s is the candidate-evaluation rate.
+func BenchmarkPlacerSearchCold(b *testing.B) {
+	cfg := eval.DefaultConfig()
+	simulator, err := sim.New(cfg.Arch, cfg.Costs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 64
+	zoo := bnn.ZooArchs()
+	steps := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range zoo {
+			for _, d := range []arch.Design{arch.EinsteinBarrier, arch.TacitEPCM} {
+				pe, err := simulator.PlacementEvaluator(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sp, err := compiler.NewSearchPlacer(m, cfg.Arch, d, pe,
+					compiler.SearchOptions{Seed: 1, Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := compiler.CompileWith(m, cfg.Arch, d, compiler.Options{Placer: sp}); err != nil {
+					b.Fatal(err)
+				}
+				steps += sp.Stats().Steps
+			}
+		}
+	}
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+}
+
 // BenchmarkServe measures the online serving subsystem end to end:
 // closed-loop clients stream requests through the admission queue and
 // the dynamic batcher into backend replicas. ns/op is the wall-clock

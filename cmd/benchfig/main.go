@@ -30,6 +30,7 @@ import (
 	"einsteinbarrier/internal/energy"
 	"einsteinbarrier/internal/eval"
 	"einsteinbarrier/internal/report"
+	"einsteinbarrier/internal/sim"
 )
 
 func main() {
@@ -55,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	cfg := eval.DefaultConfig()
 	eval.SearchFlags(fs, &cfg.Search, "the figure's batch")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cfg.Search.CheckBatch(); err != nil {
 		return err
 	}
 	mode, err := report.ParseMode(*csvOut, *jsonOut)
@@ -201,8 +205,8 @@ func parseBatches(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		b, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || b < 1 {
-			return nil, fmt.Errorf("bad -batch entry %q (want positive integers)", f)
+		if err != nil || b < 1 || b > sim.MaxBatch {
+			return nil, fmt.Errorf("bad -batch entry %q (want integers in [1, %d])", f, sim.MaxBatch)
 		}
 		out = append(out, b)
 	}

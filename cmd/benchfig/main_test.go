@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"einsteinbarrier/internal/sim"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -98,6 +101,18 @@ func TestUnknownDesignAndFigError(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "batch", "-batch", "0,-3"}, &out); err == nil {
 		t.Fatal("bad batch list must error")
+	}
+	// A batch above sim.MaxBatch, in -batch or -search-batch, is an error
+	// before any output rather than a calendar sized for it.
+	for _, args := range [][]string{
+		{"-fig", "batch", "-batch", fmt.Sprint(sim.MaxBatch + 1)},
+		{"-fig", "placement", "-batch", "1," + fmt.Sprint(sim.MaxBatch+1)},
+		{"-fig", "placement", "-search-batch", fmt.Sprint(sim.MaxBatch + 1)},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("%v must fail before any output: err %v, wrote %q", args, err, buf.String())
+		}
 	}
 	if err := run([]string{"-fig", "7", "-csv", "-json"}, &out); err == nil {
 		t.Fatal("-csv with -json must error")

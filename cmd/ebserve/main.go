@@ -161,6 +161,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := search.CheckBatch(); err != nil {
+		return err
+	}
 	o.searchSteps, o.searchSeed, o.searchBatch = search.Steps, search.Seed, search.Batch
 	var err error
 	if o.mode, err = report.ParseMode(*csvOut, *jsonOut); err != nil {

@@ -95,6 +95,7 @@ func TestFlagErrors(t *testing.T) {
 		"NaN drift exponent":       {"-lifetime", "-drift-nu", "nan", "-requests", "24"},
 		"NaN diurnal base":         {"-lifetime", "-diurnal-base", "nan", "-requests", "24"},
 		"NaN diurnal peak":         {"-lifetime", "-diurnal-base", "100", "-diurnal-peak", "nan", "-requests", "24"},
+		"search batch above cap":   {"-loadgen", "-requests", "10", "-search-batch", "100000000"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run(%v) succeeded, want error", name, args)

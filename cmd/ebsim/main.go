@@ -64,8 +64,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *batch < 1 {
-		return fmt.Errorf("-batch %d must be ≥ 1", *batch)
+	if *batch < 1 || *batch > sim.MaxBatch {
+		return fmt.Errorf("-batch %d outside [1, %d]", *batch, sim.MaxBatch)
+	}
+	if err := evalCfg.Search.CheckBatch(); err != nil {
+		return err
 	}
 	if *traceCand != "" && *placerName != "search" {
 		return fmt.Errorf("-trace-candidate needs -placer search")

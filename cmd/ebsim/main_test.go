@@ -12,6 +12,7 @@ import (
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/eval"
+	"einsteinbarrier/internal/sim"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -90,9 +91,16 @@ func TestPlacerDrillDown(t *testing.T) {
 	if err := run([]string{"-placer", "warp"}, io.Discard); err == nil {
 		t.Fatal("unknown placer must error")
 	}
-	var buf bytes.Buffer
-	if err := run([]string{"-batch", "0"}, &buf); err == nil || buf.Len() != 0 {
-		t.Fatalf("-batch 0 must fail before any output: err %v, wrote %q", err, buf.String())
+	for _, args := range [][]string{
+		{"-batch", "0"},
+		{"-model", "MLP-S", "-batch", fmt.Sprint(sim.MaxBatch + 1)},
+		{"-model", "MLP-S", "-placer", "search", "-search-batch", fmt.Sprint(sim.MaxBatch + 1)},
+		{"-models", "MLP-S,CNN-S", "-batch", "100000000"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("%v must fail before any output: err %v, wrote %q", args, err, buf.String())
+		}
 	}
 }
 

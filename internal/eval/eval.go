@@ -78,6 +78,16 @@ func SearchFlags(fs *flag.FlagSet, s *SearchSpec, batch string) {
 	fs.IntVar(&s.Batch, "search-batch", 0, "batch size of the search objective (0 = "+batch+")")
 }
 
+// CheckBatch rejects a -search-batch the engine cannot run: negative,
+// or above sim.MaxBatch. Commands call it after parsing their flags,
+// before any output.
+func (s SearchSpec) CheckBatch() error {
+	if s.Batch < 0 || s.Batch > sim.MaxBatch {
+		return fmt.Errorf("-search-batch %d outside [0, %d]", s.Batch, sim.MaxBatch)
+	}
+	return nil
+}
+
 // ArchFlags registers the -k and -cols-per-adc architecture overrides
 // on fs. The returned func applies the ones set (> 0) to a config.
 func ArchFlags(fs *flag.FlagSet) func(*arch.Config) {

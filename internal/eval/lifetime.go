@@ -124,6 +124,18 @@ func RunLifetime(sc LifetimeScenario) (LifetimeReport, error) {
 	if sc.Requests <= 0 {
 		return LifetimeReport{}, fmt.Errorf("eval: lifetime run needs Requests > 0, got %d", sc.Requests)
 	}
+	// The policy and the clock need no model: check them before building
+	// the model, the hardware replicas, the canary set and the pricer.
+	life := sc.Lifetime
+	if err := life.ValidatePolicy(); err != nil {
+		return LifetimeReport{}, err
+	}
+	if life.Clock == nil {
+		if !(sc.SecondsPerSample > 0) || math.IsInf(sc.SecondsPerSample, 1) {
+			return LifetimeReport{}, fmt.Errorf("eval: lifetime run needs a Clock or a finite SecondsPerSample > 0, got %g", sc.SecondsPerSample)
+		}
+		life.Clock = serve.BatchClock{SecondsPerSample: sc.SecondsPerSample}
+	}
 	model, err := bnn.NewModel(sc.Model, sc.Seed)
 	if err != nil {
 		return LifetimeReport{}, err
@@ -137,13 +149,6 @@ func RunLifetime(sc LifetimeScenario) (LifetimeReport, error) {
 		size *= d
 	}
 
-	life := sc.Lifetime
-	if life.Clock == nil {
-		if !(sc.SecondsPerSample > 0) || math.IsInf(sc.SecondsPerSample, 1) {
-			return LifetimeReport{}, fmt.Errorf("eval: lifetime run needs a Clock or a finite SecondsPerSample > 0, got %g", sc.SecondsPerSample)
-		}
-		life.Clock = serve.BatchClock{SecondsPerSample: sc.SecondsPerSample}
-	}
 	if life.Canary == nil {
 		n := sc.CanarySize
 		if n <= 0 {

@@ -143,6 +143,18 @@ func TestRunLifetimeValidation(t *testing.T) {
 	if _, err := RunLifetime(sc); err == nil {
 		t.Fatal("want error for unknown model")
 	}
+	// A bad policy is reported before any set-up: with an unknown model
+	// and a NaN floor, the floor error comes first.
+	sc.Model = "nope"
+	sc.Lifetime.Floor = math.NaN()
+	if _, err := RunLifetime(sc); err == nil || !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("NaN floor with an unknown model: want the floor error, got %v", err)
+	}
+	sc.Lifetime.Floor = 0.99
+	sc.Lifetime.FaultRatePerSecond = math.NaN()
+	if _, err := RunLifetime(sc); err == nil || !strings.Contains(err.Error(), "fault") {
+		t.Fatalf("NaN fault rate with an unknown model: want the fault-rate error, got %v", err)
+	}
 }
 
 func TestLifetimeWriters(t *testing.T) {

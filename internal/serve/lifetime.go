@@ -97,11 +97,20 @@ func (c *LifetimeConfig) validate() error {
 	if c.Canary == nil {
 		return fmt.Errorf("serve: lifetime mode needs a CanarySet")
 	}
-	if !(c.Floor > 0 && c.Floor <= 1) {
-		return fmt.Errorf("serve: canary accuracy floor %g outside (0, 1]", c.Floor)
+	return c.ValidatePolicy()
+}
+
+// ValidatePolicy checks the policy fields after defaults: the canary
+// accuracy floor and the fault arrival rate. They need no model, so a
+// caller that builds replicas, a canary set or a pricer first can reject
+// a bad policy before that set-up; New checks them again.
+func (c LifetimeConfig) ValidatePolicy() error {
+	d := c.withDefaults()
+	if !(d.Floor > 0 && d.Floor <= 1) {
+		return fmt.Errorf("serve: canary accuracy floor %g outside (0, 1]", d.Floor)
 	}
-	if !(c.FaultRatePerSecond >= 0) || math.IsInf(c.FaultRatePerSecond, 1) {
-		return fmt.Errorf("serve: fault arrival rate %g must be finite and ≥ 0", c.FaultRatePerSecond)
+	if !(d.FaultRatePerSecond >= 0) || math.IsInf(d.FaultRatePerSecond, 1) {
+		return fmt.Errorf("serve: fault arrival rate %g must be finite and ≥ 0", d.FaultRatePerSecond)
 	}
 	return nil
 }

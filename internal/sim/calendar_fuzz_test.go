@@ -30,6 +30,13 @@ func FuzzResClock(f *testing.F) {
 	f.Add(encodeReqs([][2]float64{{0, 10}, {0, 10}, {5, 3}, {100, 1}, {2, 200}}))
 	f.Add(encodeReqs([][2]float64{{50, 5}, {10, 5}, {30, 5}, {10, 5}, {0, 100}}))
 	f.Add(encodeReqs([][2]float64{{1e12, 1}, {0, 1e12}, {1e12 - 1, 2}}))
+	// earliestFree's tail check: a query on an empty segment, one at
+	// exactly the last span's end, one an ulp below it, and the same
+	// after an out-of-order insert (which must not move the tail).
+	f.Add(encodeReqs([][2]float64{{7, 2}}))
+	f.Add(encodeReqs([][2]float64{{0, 10}, {10, 5}}))
+	f.Add(encodeReqs([][2]float64{{0, 10}, {math.Nextafter(10, 0), 5}}))
+	f.Add(encodeReqs([][2]float64{{10, 5}, {0, 3}, {15, 1}, {math.Nextafter(16, 0), 2}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps = 256 // keeps the O(n²) reference fast enough to explore
@@ -45,7 +52,7 @@ func FuzzResClock(f *testing.F) {
 		cal.grow(0)
 		cal.beginCount()
 		cal.perSample[0] = 1
-		cal.ensure(nOps) // segCap = nOps bookings on resource 0
+		cal.ensure(nOps) // room for nOps bookings on resource 0
 		cal.reset()
 
 		var ref []busySpan // insertion order, deliberately unsorted
@@ -77,7 +84,7 @@ func FuzzResClock(f *testing.F) {
 
 			// The arena segment must stay sorted and non-overlapping —
 			// earliestFree's binary search depends on it.
-			seg := cal.arena[cal.off[0] : cal.off[0]+cal.n[0]]
+			seg := cal.arena[cal.seg[0].off : cal.seg[0].off+cal.seg[0].n]
 			if len(seg) != len(ref) {
 				t.Fatalf("op %d: %d spans in arena, %d booked", i, len(seg), len(ref))
 			}
@@ -145,14 +152,15 @@ func seedFromRun(f *testing.F) []byte {
 	best, bestN := &eng.fb.fwd.cal, 0
 	var bestR int32
 	for _, cal := range []*vcCal{&eng.fb.fwd.cal, &eng.fb.bulk.cal} {
-		for r, n := range cal.n {
-			if n > bestN {
-				best, bestR, bestN = cal, int32(r), n
+		for r, h := range cal.seg {
+			if h.n > bestN {
+				best, bestR, bestN = cal, int32(r), h.n
 			}
 		}
 	}
 	reqs := make([][2]float64, 0, bestN)
-	seg := best.arena[best.off[bestR] : best.off[bestR]+best.n[bestR]]
+	h := best.seg[bestR]
+	seg := best.arena[h.off : h.off+h.n]
 	for _, sp := range seg {
 		reqs = append(reqs, [2]float64{sp.s, sp.e - sp.s})
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"einsteinbarrier/internal/arch"
@@ -80,10 +81,26 @@ type engineStage struct {
 	chipPorts []int      // nodes whose chip ports the forward route occupies
 	bulk      []bulkXfer // gather + scatter drain traffic
 	conflicts []int      // indices of other stages sharing a tile with this one
+	// routeKey encodes what tiles, links, ports and bulk transfers were
+	// built from (sendBytes, this layer's shards, the next layer's); a
+	// configure whose key matches keeps them and their priv binding.
+	routeKey []int
 }
 
 // busySpan is one booked occupancy of an interconnect resource.
 type busySpan struct{ s, e float64 }
+
+// calSeg is one resource's header in the span arena: where its segment
+// starts, how many spans it can hold, how many are booked this run, and
+// a copy of the last booked span, so the tail checks of earliestFree
+// and book never read the arena. An empty segment's last span is
+// noSpan, which ends and starts before any time.
+type calSeg struct {
+	off, n, cap int
+	last        busySpan
+}
+
+var noSpan = busySpan{s: math.Inf(-1), e: math.Inf(-1)}
 
 // vcCal holds the booking calendars of ONE virtual channel: every
 // resource (mesh link or chip port) owns a segment of one shared span
@@ -96,24 +113,20 @@ type busySpan struct{ s, e float64 }
 // The arena is sized exactly: each admitted sample books each resource
 // perSample[r] times (a static property of the bound stage routes), so
 // a run of B samples needs perSample[r]×B spans — carved contiguously
-// per resource, no per-booking allocation, and reset is a memclr of the
-// fill counters.
+// per resource, no per-booking allocation, and reset zeroes the fill
+// counts.
 type vcCal struct {
 	arena     []busySpan
-	off       []int // resource → segment start in arena
-	segCap    []int // resource → segment capacity (perSample × sized)
-	n         []int // resource → spans booked this run
-	perSample []int // resource → bookings per admitted sample (all bound engines)
-	sized     int   // samples the current layout accommodates
-	dirty     bool  // perSample changed since the last layout
+	seg       []calSeg // resource → segment header
+	perSample []int    // resource → bookings per admitted sample (all bound engines)
+	sized     int      // samples the current layout accommodates
+	dirty     bool     // perSample changed since the last layout
 }
 
 // grow registers room for resource index r.
 func (c *vcCal) grow(r int) {
 	for len(c.perSample) <= r {
-		c.off = append(c.off, 0)
-		c.segCap = append(c.segCap, 0)
-		c.n = append(c.n, 0)
+		c.seg = append(c.seg, calSeg{last: noSpan})
 		c.perSample = append(c.perSample, 0)
 	}
 }
@@ -137,8 +150,8 @@ func (c *vcCal) ensure(b int) {
 	}
 	total := 0
 	for r, ps := range c.perSample {
-		c.off[r] = total
-		c.segCap[r] = ps * b
+		c.seg[r].off = total
+		c.seg[r].cap = ps * b
 		total += ps * b
 	}
 	if total > cap(c.arena) {
@@ -152,13 +165,26 @@ func (c *vcCal) ensure(b int) {
 
 // reset starts a new run: every calendar becomes empty by truncation.
 func (c *vcCal) reset() {
-	clear(c.n)
+	for r := range c.seg {
+		c.seg[r].n, c.seg[r].last = 0, noSpan
+	}
 }
 
 // earliestFree returns the first start ≥ tc where resource r is free
-// for dur.
+// for dur. Most queries start after the resource's last booked span,
+// where the search would return tc too; that tail check is small
+// enough to inline into bookXfer.
 func (c *vcCal) earliestFree(r int32, tc, dur float64) float64 {
-	seg := c.arena[c.off[r] : c.off[r]+c.n[r]]
+	h := &c.seg[r]
+	if h.last.e <= tc {
+		return tc
+	}
+	return c.searchFree(h, tc, dur)
+}
+
+// searchFree is earliestFree's general case over a non-empty segment.
+func (c *vcCal) searchFree(h *calSeg, tc, dur float64) float64 {
+	seg := c.arena[h.off : h.off+h.n]
 	// Binary search for the first span that could overlap [tc, tc+dur).
 	lo, hi := 0, len(seg)
 	for lo < hi {
@@ -186,18 +212,22 @@ func (c *vcCal) earliestFree(r int32, tc, dur float64) float64 {
 // start order (sample after sample), so the common case is a pure
 // append; an out-of-order booking (an early-stage transfer of the next
 // sample landing before a late-stage one already booked) falls back to
-// binary search + shift within the segment.
+// binary search + shift within the segment. Only the append path moves
+// the header's last span: an insert lands before it.
 func (c *vcCal) book(r int32, start, dur float64) {
-	o, n := c.off[r], c.n[r]
-	if n == c.segCap[r] {
+	h := &c.seg[r]
+	o, n := h.off, h.n
+	if n == h.cap {
 		panic("sim: calendar segment overflow — booking count exceeded the sealed per-sample sizing")
 	}
-	seg := c.arena[o : o+n]
-	if n == 0 || start >= seg[n-1].s {
-		c.arena[o+n] = busySpan{s: start, e: start + dur}
-		c.n[r] = n + 1
+	sp := busySpan{s: start, e: start + dur}
+	if start >= h.last.s {
+		c.arena[o+n] = sp
+		h.n = n + 1
+		h.last = sp
 		return
 	}
+	seg := c.arena[o : o+n]
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -208,8 +238,8 @@ func (c *vcCal) book(r int32, start, dur float64) {
 		}
 	}
 	copy(c.arena[o+lo+1:o+n+1], c.arena[o+lo:o+n])
-	c.arena[o+lo] = busySpan{s: start, e: start + dur}
-	c.n[r] = n + 1
+	c.arena[o+lo] = sp
+	h.n = n + 1
 }
 
 // bookXfer books one transfer on the channel: the earliest window at or
@@ -365,44 +395,53 @@ type binding struct {
 // slices.
 func (e *Engine) bindTo(fb *fabricClock, bd *binding) {
 	bd.fb = fb
-	if cap(bd.st) < len(e.stages) {
-		st := make([]boundStage, len(e.stages))
-		copy(st, bd.st)
+	bd.resize(len(e.stages))
+	for i := range e.stages {
+		bindStage(fb, &e.stages[i], &bd.st[i])
+	}
+}
+
+// resize sets the binding's stage count, keeping the bound stages.
+func (bd *binding) resize(n int) {
+	if cap(bd.st) < n {
+		st := make([]boundStage, n)
+		copy(st, bd.st[:cap(bd.st)])
 		bd.st = st
 	} else {
-		bd.st = bd.st[:len(e.stages)]
+		bd.st = bd.st[:n]
 	}
-	for i := range e.stages {
-		st := &e.stages[i]
-		bs := &bd.st[i]
-		bs.fwdLinks = bs.fwdLinks[:0]
-		bs.fwdPorts = bs.fwdPorts[:0]
-		for _, k := range st.links {
-			bs.fwdLinks = append(bs.fwdLinks, fb.fwd.linkID(k))
+}
+
+// bindStage resolves one stage's routes against fb into bs, reusing
+// bs's slices.
+func bindStage(fb *fabricClock, st *engineStage, bs *boundStage) {
+	bs.fwdLinks = bs.fwdLinks[:0]
+	bs.fwdPorts = bs.fwdPorts[:0]
+	for _, k := range st.links {
+		bs.fwdLinks = append(bs.fwdLinks, fb.fwd.linkID(k))
+	}
+	for _, p := range st.chipPorts {
+		bs.fwdPorts = append(bs.fwdPorts, fb.fwd.chipID(p))
+	}
+	if cap(bs.bulk) < len(st.bulk) {
+		bk := make([]boundXfer, len(st.bulk))
+		copy(bk, bs.bulk)
+		bs.bulk = bk
+	} else {
+		bs.bulk = bs.bulk[:len(st.bulk)]
+	}
+	for bi := range st.bulk {
+		bt := &st.bulk[bi]
+		bx := &bs.bulk[bi]
+		bx.links = bx.links[:0]
+		bx.ports = bx.ports[:0]
+		for _, k := range bt.links {
+			bx.links = append(bx.links, fb.bulk.linkID(k))
 		}
-		for _, p := range st.chipPorts {
-			bs.fwdPorts = append(bs.fwdPorts, fb.fwd.chipID(p))
+		for _, p := range bt.ports {
+			bx.ports = append(bx.ports, fb.bulk.chipID(p))
 		}
-		if cap(bs.bulk) < len(st.bulk) {
-			bk := make([]boundXfer, len(st.bulk))
-			copy(bk, bs.bulk)
-			bs.bulk = bk
-		} else {
-			bs.bulk = bs.bulk[:len(st.bulk)]
-		}
-		for bi := range st.bulk {
-			bt := &st.bulk[bi]
-			bx := &bs.bulk[bi]
-			bx.links = bx.links[:0]
-			bx.ports = bx.ports[:0]
-			for _, k := range bt.links {
-				bx.links = append(bx.links, fb.bulk.linkID(k))
-			}
-			for _, p := range bt.ports {
-				bx.ports = append(bx.ports, fb.bulk.chipID(p))
-			}
-			bx.serNs = bt.serNs
-		}
+		bx.serNs = bt.serNs
 	}
 }
 
@@ -432,9 +471,15 @@ type Engine struct {
 	resUsed   int
 	bsScratch [1]int
 	brScratch [1]*BatchResult
-	// construction scratch reused across reprice calls.
-	lb          *linkBuilder
-	tileScratch map[int]bool
+	// construction scratch reused across reprice calls: the route key
+	// under construction, per-tile marks of the conflict pass, and the
+	// bottleneck's per-tile and per-resource busy sums.
+	lb        *linkBuilder
+	keyBuf    []int
+	tileMark  []int32
+	tileBusy  []float64
+	fwdTally  resTally
+	bulkTally resTally
 	// steady-state bottleneck, precomputed at configure time (static
 	// per compilation) so snapshot stays allocation-free.
 	bneckNs   float64
@@ -495,130 +540,171 @@ func (e *Engine) configure(c *compiler.Compiled) error {
 	} else {
 		e.lb.mesh, e.lb.cfg = mesh, cfg
 	}
-	lb := e.lb
 	if cap(e.stages) < len(costs) {
 		st := make([]engineStage, len(costs))
-		copy(st, e.stages)
+		copy(st, e.stages[:cap(e.stages)])
 		e.stages = st
 	} else {
 		e.stages = e.stages[:len(costs)]
 	}
+	e.priv.fb = e.fb
+	e.priv.resize(len(costs))
+	maxTile := 0
 	for i, sc := range costs {
 		st := &e.stages[i]
 		st.name = sc.name
 		st.serviceNs = sc.serviceNs
 		st.sendLatNs = sc.sendLatNs
-		st.sendSerNs, st.chipSerNs = 0, 0
-		st.tiles = pl.GlobalTiles(i, cfg)
-		st.links = st.links[:0]
-		st.chipPorts = st.chipPorts[:0]
-		st.bulk = st.bulk[:0]
 		st.conflicts = st.conflicts[:0]
-		if sc.sendBytes > 0 {
-			st.sendSerNs = mesh.SerializationNs(sc.sendBytes)
-			st.chipSerNs = mesh.ChipHopNs
-			srcChip, srcTile := pl.Layers[i].Anchor()
-			// Forward route: anchor to the consumer's anchor (or the host
-			// through the egress corner after the last stage).
-			lb.reset()
-			dstChip, dstTile := -1, 0
-			if i+1 < len(costs) {
-				dstChip, dstTile = pl.Layers[i+1].Anchor()
-			}
-			if err := lb.addRoute(srcChip, srcTile, dstChip, dstTile); err != nil {
+		// A stage's tiles and routes depend only on sendBytes and on this
+		// layer's and the next layer's shards. A candidate that moved
+		// other layers keeps them, and their ids stay bound: resource
+		// ids are sticky per fabric clock.
+		e.keyBuf = append(e.keyBuf[:0], int(sc.sendBytes))
+		e.keyBuf = appendShards(e.keyBuf, pl.Layers[i].Shards)
+		if i+1 < len(costs) {
+			e.keyBuf = appendShards(e.keyBuf, pl.Layers[i+1].Shards)
+		}
+		if !slices.Equal(st.routeKey, e.keyBuf) {
+			st.routeKey = st.routeKey[:0] // stale until the rebuild succeeds
+			if err := e.buildRoutes(st, pl, i, len(costs), sc.sendBytes); err != nil {
 				return err
 			}
-			st.links = append(st.links, lb.links...)
-			st.chipPorts = append(st.chipPorts, lb.ports...)
-			// Bulk drain traffic: one gather per non-anchor tile of this
-			// stage (each carries its slice of the output) and one
-			// scatter per tile of the consumer (the activation is
-			// broadcast — every consumer tile needs the full input).
-			nTiles := len(st.tiles)
-			gatherSer := mesh.SerializationNs((sc.sendBytes + int64(nTiles) - 1) / int64(nTiles))
-			addBulk := func(sc2, st2, dc, dt int, ser float64) error {
-				lb.reset()
-				if err := lb.addRoute(sc2, st2, dc, dt); err != nil {
-					return err
-				}
-				if len(lb.links)+len(lb.ports) == 0 {
-					return nil
-				}
-				n := len(st.bulk)
-				if n < cap(st.bulk) {
-					st.bulk = st.bulk[:n+1]
-				} else {
-					st.bulk = append(st.bulk, bulkXfer{})
-				}
-				bx := &st.bulk[n]
-				bx.links = append(bx.links[:0], lb.links...)
-				bx.ports = append(bx.ports[:0], lb.ports...)
-				bx.serNs = ser
-				return nil
-			}
-			for _, sh := range pl.Layers[i].Shards {
-				for _, t := range sh.Tiles {
-					if sh.Chip == srcChip && t == srcTile {
-						continue
-					}
-					if err := addBulk(sh.Chip, t, srcChip, srcTile, gatherSer); err != nil {
-						return err
-					}
-				}
-			}
-			if i+1 < len(costs) {
-				for _, sh := range pl.Layers[i+1].Shards {
-					for _, t := range sh.Tiles {
-						if sh.Chip == dstChip && t == dstTile {
-							continue
-						}
-						if err := addBulk(dstChip, dstTile, sh.Chip, t, st.sendSerNs); err != nil {
-							return err
-						}
-					}
-				}
-			}
+			bindStage(e.fb, st, &e.priv.st[i])
+			st.routeKey = append(st.routeKey, e.keyBuf...)
+		}
+		for _, t := range st.tiles {
+			maxTile = max(maxTile, t)
 		}
 	}
 	// Stages whose tile footprints overlap (the greedy allocator packs
 	// layer boundaries into shared tiles) cannot compute concurrently.
-	if e.tileScratch == nil {
-		e.tileScratch = map[int]bool{}
-	}
+	// Stage i stamps its tiles with i+1; a later stage's stamp never
+	// matches an earlier one, so the marks are cleared once.
+	e.tileMark = resized(e.tileMark, maxTile+1)
+	clear(e.tileMark)
 	for i := range e.stages {
-		clear(e.tileScratch)
+		stamp := int32(i + 1)
 		for _, t := range e.stages[i].tiles {
-			e.tileScratch[t] = true
+			e.tileMark[t] = stamp
 		}
 		for j := range e.stages {
 			if i == j {
 				continue
 			}
 			for _, t := range e.stages[j].tiles {
-				if e.tileScratch[t] {
+				if e.tileMark[t] == stamp {
 					e.stages[i].conflicts = append(e.stages[i].conflicts, j)
 					break
 				}
 			}
 		}
 	}
-	e.tileFree = growF64(e.tileFree, len(e.stages))
-	e.busyNs = growF64(e.busyNs, len(e.stages))
-	e.drainReady = growF64(e.drainReady, len(e.stages))
-	e.bindTo(e.fb, &e.priv)
+	e.tileFree = resized(e.tileFree, len(e.stages))
+	e.busyNs = resized(e.busyNs, len(e.stages))
+	e.drainReady = resized(e.drainReady, len(e.stages))
 	e.fb.seal(&e.priv)
 	// The steady-state bottleneck is a static property of the stages and
 	// routes; computing it here keeps snapshot allocation-free.
-	e.bneckNs, e.bneckName = e.bottleneck()
+	e.bneckNs, e.bneckName = e.bottleneck(maxTile)
 	return nil
 }
 
-// growF64 resizes a scratch slice to n, reusing capacity.
-func growF64(s []float64, n int) []float64 {
+// appendShards appends a length-prefixed encoding of a layer's shard
+// chips and tiles to a route key.
+func appendShards(k []int, shards []compiler.Shard) []int {
+	k = append(k, len(shards))
+	for _, sh := range shards {
+		k = append(k, sh.Chip, len(sh.Tiles))
+		k = append(k, sh.Tiles...)
+	}
+	return k
+}
+
+// buildRoutes rebuilds stage i's tile footprint, forward route and bulk
+// drain transfers from the placement.
+func (e *Engine) buildRoutes(st *engineStage, pl *compiler.Placement, i, nStages int, sendBytes int64) error {
+	mesh, lb := e.mesh, e.lb
+	st.tiles = pl.GlobalTiles(i, e.sim.cfg)
+	st.links = st.links[:0]
+	st.chipPorts = st.chipPorts[:0]
+	st.bulk = st.bulk[:0]
+	st.sendSerNs, st.chipSerNs = 0, 0
+	if sendBytes <= 0 {
+		return nil
+	}
+	st.sendSerNs = mesh.SerializationNs(sendBytes)
+	st.chipSerNs = mesh.ChipHopNs
+	srcChip, srcTile := pl.Layers[i].Anchor()
+	// Forward route: anchor to the consumer's anchor (or the host
+	// through the egress corner after the last stage).
+	lb.reset()
+	dstChip, dstTile := -1, 0
+	if i+1 < nStages {
+		dstChip, dstTile = pl.Layers[i+1].Anchor()
+	}
+	if err := lb.addRoute(srcChip, srcTile, dstChip, dstTile); err != nil {
+		return err
+	}
+	st.links = append(st.links, lb.links...)
+	st.chipPorts = append(st.chipPorts, lb.ports...)
+	// Bulk drain traffic: one gather per non-anchor tile of this
+	// stage (each carries its slice of the output) and one
+	// scatter per tile of the consumer (the activation is
+	// broadcast — every consumer tile needs the full input).
+	nTiles := len(st.tiles)
+	gatherSer := mesh.SerializationNs((sendBytes + int64(nTiles) - 1) / int64(nTiles))
+	addBulk := func(sc2, st2, dc, dt int, ser float64) error {
+		lb.reset()
+		if err := lb.addRoute(sc2, st2, dc, dt); err != nil {
+			return err
+		}
+		if len(lb.links)+len(lb.ports) == 0 {
+			return nil
+		}
+		n := len(st.bulk)
+		if n < cap(st.bulk) {
+			st.bulk = st.bulk[:n+1]
+		} else {
+			st.bulk = append(st.bulk, bulkXfer{})
+		}
+		bx := &st.bulk[n]
+		bx.links = append(bx.links[:0], lb.links...)
+		bx.ports = append(bx.ports[:0], lb.ports...)
+		bx.serNs = ser
+		return nil
+	}
+	for _, sh := range pl.Layers[i].Shards {
+		for _, t := range sh.Tiles {
+			if sh.Chip == srcChip && t == srcTile {
+				continue
+			}
+			if err := addBulk(sh.Chip, t, srcChip, srcTile, gatherSer); err != nil {
+				return err
+			}
+		}
+	}
+	if i+1 < nStages {
+		for _, sh := range pl.Layers[i+1].Shards {
+			for _, t := range sh.Tiles {
+				if sh.Chip == dstChip && t == dstTile {
+					continue
+				}
+				if err := addBulk(dstChip, dstTile, sh.Chip, t, st.sendSerNs); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// resized resizes a scratch slice to n, reusing capacity.
+func resized[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // linkBuilder accumulates the deduplicated link and chip-port sets of
@@ -782,9 +868,9 @@ func (e *Engine) runSample(bd *binding) float64 {
 		bs := &bd.st[si]
 		// Back-pressure: the tiles' drain of the previous sample must
 		// finish before they take the next one.
-		start := math.Max(math.Max(t, e.tileFree[si]), e.drainReady[si])
+		start := max(t, e.tileFree[si], e.drainReady[si])
 		for _, cj := range st.conflicts {
-			start = math.Max(start, e.tileFree[cj])
+			start = max(start, e.tileFree[cj])
 		}
 		computeDone := start + st.serviceNs
 		e.tileFree[si] = computeDone
@@ -806,7 +892,7 @@ func (e *Engine) runSample(bd *binding) float64 {
 			bx := &bs.bulk[bi]
 			bsStart := bulk.bookXfer(computeDone, bx.links, bx.ports, bx.serNs, st.chipSerNs)
 			e.linkWaitNs += bsStart - computeDone
-			drainEnd = math.Max(drainEnd, bsStart+bx.serNs)
+			drainEnd = max(drainEnd, bsStart+bx.serNs)
 			if tr != nil {
 				bt := &st.bulk[bi]
 				tr.traceXfer(si, seq, computeDone, bsStart, bt.serNs, st.chipSerNs,
@@ -893,6 +979,20 @@ func (e *Engine) RunBatches(bs []int) ([]*BatchResult, error) {
 	return out, nil
 }
 
+// MaxBatch is the largest batch one engine run schedules. The calendar
+// arena holds every span a run books, a fixed number per sample, so the
+// batch size bounds the memory a run takes; a larger batch is an error,
+// not an allocation.
+const MaxBatch = 1 << 16
+
+// checkBatch rejects a batch size the engine cannot run.
+func checkBatch(b int) error {
+	if b < 1 || b > MaxBatch {
+		return fmt.Errorf("sim: batch size %d outside [1, %d]", b, MaxBatch)
+	}
+	return nil
+}
+
 // runBatches is the shared scheduling core: out[i] receives the
 // snapshot after bs[i] samples (duplicated sizes share one snapshot).
 func (e *Engine) runBatches(bs []int, out []*BatchResult) error {
@@ -901,8 +1001,8 @@ func (e *Engine) runBatches(bs []int, out []*BatchResult) error {
 	}
 	maxB := 0
 	for _, b := range bs {
-		if b < 1 {
-			return fmt.Errorf("sim: batch size %d must be ≥ 1", b)
+		if err := checkBatch(b); err != nil {
+			return err
 		}
 		maxB = max(maxB, b)
 	}
@@ -927,30 +1027,67 @@ func (e *Engine) runBatches(bs []int, out []*BatchResult) error {
 	return nil
 }
 
+// resRef is one channel resource in a bottleneck tally: its dense id
+// and what names it (a link key; a port's node in key.node).
+type resRef struct {
+	id  int32
+	key linkKey
+}
+
+// resTally sums one channel's per-sample busy time by dense resource
+// id, listing links and ports in first-seen order.
+type resTally struct {
+	busy         []float64
+	seen         []bool
+	links, ports []resRef
+}
+
+// reset empties the tally for a channel of n resources.
+func (t *resTally) reset(n int) {
+	t.busy = resized(t.busy, n)
+	t.seen = resized(t.seen, n)
+	clear(t.busy)
+	clear(t.seen)
+	t.links, t.ports = t.links[:0], t.ports[:0]
+}
+
+// add charges ns to resource id, appending it to order on first sight.
+func (t *resTally) add(order []resRef, id int32, key linkKey, ns float64) []resRef {
+	if !t.seen[id] {
+		t.seen[id] = true
+		order = append(order, resRef{id: id, key: key})
+	}
+	t.busy[id] += ns
+	return order
+}
+
 // bottleneck finds the resource with the largest per-sample busy time:
 // the steady-state inter-departure interval of the saturated pipeline.
-// Deterministic: ties resolve to the earliest stage/resource.
-func (e *Engine) bottleneck() (ns float64, name string) {
+// Deterministic: ties resolve to the earliest stage/resource. maxTile
+// is the largest global tile any stage owns; links and ports are
+// tallied by the dense ids of the engine's private binding.
+func (e *Engine) bottleneck(maxTile int) (ns float64, name string) {
 	// Tile busy: stages sharing a tile cannot compute concurrently, so
 	// the max per-tile service sum is the serialization bound.
-	tileBusy := map[int]float64{}
-	maxTile := 0
-	for _, st := range e.stages {
+	e.tileBusy = resized(e.tileBusy, maxTile+1)
+	clear(e.tileBusy)
+	for i := range e.stages {
+		st := &e.stages[i]
 		for _, t := range st.tiles {
-			tileBusy[t] += st.serviceNs
-			maxTile = max(maxTile, t)
+			e.tileBusy[t] += st.serviceNs
 		}
 	}
 	bneckTile := -1
-	for t := 0; t <= maxTile; t++ {
-		if busy, ok := tileBusy[t]; ok && busy > ns {
+	for t, busy := range e.tileBusy {
+		if busy > ns {
 			ns, bneckTile = busy, t
 		}
 	}
 	if bneckTile >= 0 {
 		// Name the heaviest stage occupying the bottleneck tile.
 		heaviest := -1.0
-		for _, st := range e.stages {
+		for i := range e.stages {
+			st := &e.stages[i]
 			for _, t := range st.tiles {
 				if t == bneckTile && st.serviceNs > heaviest {
 					heaviest, name = st.serviceNs, st.name
@@ -966,59 +1103,57 @@ func (e *Engine) bottleneck() (ns float64, name string) {
 	// independent calendars), so their busy sums must stay separate too
 	// — merging them would report a "ceiling" below what the schedule
 	// actually sustains.
-	linkBusy := map[linkKey]float64{}
-	chipBusy := map[int]float64{}
-	bulkBusy := map[linkKey]float64{}
-	bulkChipBusy := map[int]float64{}
-	var linkOrder, bulkOrder []linkKey
-	var chipOrder, bulkChipOrder []int
-	for _, st := range e.stages {
-		for _, l := range st.links {
-			if _, seen := linkBusy[l]; !seen {
-				linkOrder = append(linkOrder, l)
-			}
-			linkBusy[l] += st.sendSerNs
+	fwd, bulk := &e.fwdTally, &e.bulkTally
+	fwd.reset(len(e.fb.fwd.cal.perSample))
+	bulk.reset(len(e.fb.bulk.cal.perSample))
+	for i := range e.stages {
+		st := &e.stages[i]
+		bs := &e.priv.st[i]
+		for j, l := range st.links {
+			fwd.links = fwd.add(fwd.links, bs.fwdLinks[j], l, st.sendSerNs)
 		}
-		for _, p := range st.chipPorts {
-			if _, seen := chipBusy[p]; !seen {
-				chipOrder = append(chipOrder, p)
-			}
-			chipBusy[p] += st.chipSerNs
+		for j, p := range st.chipPorts {
+			fwd.ports = fwd.add(fwd.ports, bs.fwdPorts[j], linkKey{node: p}, st.chipSerNs)
 		}
-		for _, bt := range st.bulk {
-			for _, l := range bt.links {
-				if _, seen := bulkBusy[l]; !seen {
-					bulkOrder = append(bulkOrder, l)
-				}
-				bulkBusy[l] += bt.serNs
+		for bi := range st.bulk {
+			bt, bx := &st.bulk[bi], &bs.bulk[bi]
+			for j, l := range bt.links {
+				bulk.links = bulk.add(bulk.links, bx.links[j], l, bt.serNs)
 			}
-			for _, p := range bt.ports {
-				if _, seen := bulkChipBusy[p]; !seen {
-					bulkChipOrder = append(bulkChipOrder, p)
-				}
-				bulkChipBusy[p] += st.chipSerNs
+			for j, p := range bt.ports {
+				bulk.ports = bulk.add(bulk.ports, bx.ports[j], linkKey{node: p}, st.chipSerNs)
 			}
 		}
 	}
-	for _, l := range bulkOrder {
-		if busy := bulkBusy[l]; busy > ns {
-			ns, name = busy, fmt.Sprintf("bulk-link n%d:%d->%d", l.node, l.from, l.to)
+	// The winner is named once, after every strict-> comparison.
+	const (
+		none = iota
+		bulkLink
+		fwdLink
+		fwdPort
+		bulkPort
+	)
+	kind, key := none, linkKey{}
+	pick := func(t *resTally, order []resRef, k int) {
+		for _, r := range order {
+			if busy := t.busy[r.id]; busy > ns {
+				ns, kind, key = busy, k, r.key
+			}
 		}
 	}
-	for _, l := range linkOrder {
-		if busy := linkBusy[l]; busy > ns {
-			ns, name = busy, fmt.Sprintf("link n%d:%d->%d", l.node, l.from, l.to)
-		}
-	}
-	for _, n := range chipOrder {
-		if busy := chipBusy[n]; busy > ns {
-			ns, name = busy, fmt.Sprintf("chip-port n%d", n)
-		}
-	}
-	for _, n := range bulkChipOrder {
-		if busy := bulkChipBusy[n]; busy > ns {
-			ns, name = busy, fmt.Sprintf("bulk-chip-port n%d", n)
-		}
+	pick(bulk, bulk.links, bulkLink)
+	pick(fwd, fwd.links, fwdLink)
+	pick(fwd, fwd.ports, fwdPort)
+	pick(bulk, bulk.ports, bulkPort)
+	switch kind {
+	case bulkLink:
+		name = fmt.Sprintf("bulk-link n%d:%d->%d", key.node, key.from, key.to)
+	case fwdLink:
+		name = fmt.Sprintf("link n%d:%d->%d", key.node, key.from, key.to)
+	case fwdPort:
+		name = fmt.Sprintf("chip-port n%d", key.node)
+	case bulkPort:
+		name = fmt.Sprintf("bulk-chip-port n%d", key.node)
 	}
 	return ns, name
 }

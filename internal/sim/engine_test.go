@@ -5,6 +5,7 @@ import (
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
+	"einsteinbarrier/internal/compiler"
 )
 
 // allDesigns is the paper set plus the registry-added designs — the
@@ -237,5 +238,30 @@ func TestRunBatchRejectsBadBatch(t *testing.T) {
 	}
 	if _, err := eng.RunBatch(0); err == nil {
 		t.Fatal("batch 0 must error")
+	}
+	// Above MaxBatch every entry that sizes the calendar arena errors
+	// instead of allocating it.
+	over := MaxBatch + 1
+	if _, err := eng.RunBatch(over); err == nil {
+		t.Fatalf("RunBatch(%d) must error", over)
+	}
+	if _, err := eng.RunBatches([]int{1, over}); err == nil {
+		t.Fatalf("RunBatches with %d must error", over)
+	}
+	es, err := s.NewEngineSet([]*compiler.Compiled{compiled(t, "MLP-S", arch.TacitEPCM)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := es.RunSet(over); err == nil {
+		t.Fatalf("RunSet(%d) must error", over)
+	}
+	if _, err := s.PlacementEvaluator(over); err == nil {
+		t.Fatalf("PlacementEvaluator(%d) must error", over)
+	}
+	if _, err := s.SetEvaluator([]*compiler.Compiled{compiled(t, "MLP-S", arch.TacitEPCM)}, 0, over); err == nil {
+		t.Fatalf("SetEvaluator batch %d must error", over)
+	}
+	if _, err := eng.RunBatch(MaxBatch); err != nil {
+		t.Fatalf("RunBatch(MaxBatch) must run: %v", err)
 	}
 }

@@ -169,8 +169,8 @@ type SetResult struct {
 // round-robin by sample (sample i of every model is admitted before
 // sample i+1 of any). Deterministic: same set, same b, same result.
 func (es *EngineSet) RunSet(b int) (*SetResult, error) {
-	if b < 1 {
-		return nil, fmt.Errorf("sim: batch size %d must be ≥ 1", b)
+	if err := checkBatch(b); err != nil {
+		return nil, err
 	}
 	// Isolated baselines first (each on a private fabric clock). These
 	// run untraced — the exported timeline is the co-located schedule,
