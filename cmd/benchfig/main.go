@@ -58,9 +58,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cfg.Search.CheckBatch(); err != nil {
-		return err
-	}
 	mode, err := report.ParseMode(*csvOut, *jsonOut)
 	if err != nil {
 		return err
@@ -205,8 +202,11 @@ func parseBatches(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		b, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || b < 1 || b > sim.MaxBatch {
-			return nil, fmt.Errorf("bad -batch entry %q (want integers in [1, %d])", f, sim.MaxBatch)
+		if err == nil {
+			err = sim.CheckBatch(b)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad -batch entry %q: %w", f, err)
 		}
 		out = append(out, b)
 	}

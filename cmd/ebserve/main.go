@@ -91,7 +91,7 @@ type options struct {
 
 	loadgen    bool
 	rates      string
-	maxBatches string
+	maxBatches []int
 	requests   int
 	clients    int
 	mode       report.Mode
@@ -138,7 +138,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (serve mode)")
 	fs.BoolVar(&o.loadgen, "loadgen", false, "run the embedded load generator instead of serving HTTP")
 	fs.StringVar(&o.rates, "rate", "1000,4000,16000", "comma-separated open-loop arrival rates (req/s); 0 entries select the closed loop")
-	fs.StringVar(&o.maxBatches, "sweep-maxbatch", "", "comma-separated dynamic-batch caps: closed-loop throughput sweep over MaxBatch (loadgen mode; overrides -rate)")
+	sweep := fs.String("sweep-maxbatch", "", "comma-separated dynamic-batch caps: closed-loop throughput sweep over MaxBatch (loadgen mode; overrides -rate)")
 	fs.IntVar(&o.requests, "requests", 1000, "loadgen arrivals per rate point")
 	fs.IntVar(&o.clients, "clients", 4, "closed-loop client count (rate 0)")
 	csvOut := fs.Bool("csv", false, "emit the loadgen curve as CSV")
@@ -161,11 +161,18 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := search.CheckBatch(); err != nil {
-		return err
+	// Every batch the dynamic batcher dispatches, and the search batch
+	// that defaults to it, is priced by one engine run.
+	if o.maxBatch > sim.MaxBatch {
+		return fmt.Errorf("-max-batch %d above %d", o.maxBatch, sim.MaxBatch)
+	}
+	var err error
+	if *sweep != "" {
+		if o.maxBatches, err = parseCaps(*sweep); err != nil {
+			return err
+		}
 	}
 	o.searchSteps, o.searchSeed, o.searchBatch = search.Steps, search.Seed, search.Batch
-	var err error
 	if o.mode, err = report.ParseMode(*csvOut, *jsonOut); err != nil {
 		return err
 	}
@@ -199,7 +206,7 @@ func run(args []string, out io.Writer) error {
 	newServer := func() (*serve.Server, error) { return buildServer(o, model, design, nil) }
 
 	if o.loadgen {
-		if o.maxBatches != "" {
+		if len(o.maxBatches) > 0 {
 			return runMaxBatchSweep(o, model, design, out)
 		}
 		return runLoadgen(o, model, newServer, out)
@@ -485,14 +492,6 @@ func runLoadgen(o options, model *bnn.Model, newServer func() (*serve.Server, er
 // per machine word, so software throughput climbs with the cap until
 // the lane word is full.
 func runMaxBatchSweep(o options, model *bnn.Model, design arch.Design, out io.Writer) error {
-	var caps []int
-	for _, f := range strings.Split(o.maxBatches, ",") {
-		mb, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || mb < 1 {
-			return fmt.Errorf("bad -sweep-maxbatch entry %q (want positive integers)", f)
-		}
-		caps = append(caps, mb)
-	}
 	size := 1
 	for _, d := range model.InputShape {
 		size *= d
@@ -506,7 +505,7 @@ func runMaxBatchSweep(o options, model *bnn.Model, design arch.Design, out io.Wr
 		oo := o
 		oo.maxBatch = mb
 		return buildServer(oo, model, design, nil)
-	}, caps, base)
+	}, o.maxBatches, base)
 	if err != nil {
 		return err
 	}
@@ -514,6 +513,23 @@ func runMaxBatchSweep(o options, model *bnn.Model, design arch.Design, out io.Wr
 		return err
 	}
 	return report.Write(out, o.mode, serve.BatchCurve(points), points)
+}
+
+// parseCaps parses -sweep-maxbatch: every cap is a batch one engine
+// run prices.
+func parseCaps(s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		mb, err := strconv.Atoi(strings.TrimSpace(f))
+		if err == nil {
+			err = sim.CheckBatch(mb)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad -sweep-maxbatch entry %q: %w", f, err)
+		}
+		out = append(out, mb)
+	}
+	return out, nil
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
+	"einsteinbarrier/internal/sim"
 	"einsteinbarrier/internal/trace"
 )
 
@@ -96,6 +98,8 @@ func TestFlagErrors(t *testing.T) {
 		"NaN diurnal base":         {"-lifetime", "-diurnal-base", "nan", "-requests", "24"},
 		"NaN diurnal peak":         {"-lifetime", "-diurnal-base", "100", "-diurnal-peak", "nan", "-requests", "24"},
 		"search batch above cap":   {"-loadgen", "-requests", "10", "-search-batch", "100000000"},
+		"max batch above cap":      {"-backend", "hardware", "-loadgen", "-requests", "10", "-max-batch", fmt.Sprint(sim.MaxBatch + 1)},
+		"sweep cap above cap":      {"-loadgen", "-requests", "10", "-sweep-maxbatch", "4," + fmt.Sprint(sim.MaxBatch+1)},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("%s: run(%v) succeeded, want error", name, args)

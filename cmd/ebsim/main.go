@@ -64,11 +64,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *batch < 1 || *batch > sim.MaxBatch {
-		return fmt.Errorf("-batch %d outside [1, %d]", *batch, sim.MaxBatch)
-	}
-	if err := evalCfg.Search.CheckBatch(); err != nil {
-		return err
+	if err := sim.CheckBatch(*batch); err != nil {
+		return fmt.Errorf("-batch: %w", err)
 	}
 	if *traceCand != "" && *placerName != "search" {
 		return fmt.Errorf("-trace-candidate needs -placer search")

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"einsteinbarrier/internal/arch"
 	"einsteinbarrier/internal/bnn"
@@ -71,21 +72,24 @@ type SearchSpec struct {
 
 // SearchFlags registers the search placer's -search-steps, -search-seed
 // and -search-batch flags on fs, filling s. batch names what
-// -search-batch 0 falls back to in the command at hand.
+// -search-batch 0 falls back to in the command at hand; any other
+// value the engine cannot run fails the parse.
 func SearchFlags(fs *flag.FlagSet, s *SearchSpec, batch string) {
 	fs.IntVar(&s.Steps, "search-steps", compiler.DefaultSearchSteps, "candidate-evaluation budget of the search placer")
 	fs.Int64Var(&s.Seed, "search-seed", 1, "search placer RNG seed")
-	fs.IntVar(&s.Batch, "search-batch", 0, "batch size of the search objective (0 = "+batch+")")
-}
-
-// CheckBatch rejects a -search-batch the engine cannot run: negative,
-// or above sim.MaxBatch. Commands call it after parsing their flags,
-// before any output.
-func (s SearchSpec) CheckBatch() error {
-	if s.Batch < 0 || s.Batch > sim.MaxBatch {
-		return fmt.Errorf("-search-batch %d outside [0, %d]", s.Batch, sim.MaxBatch)
-	}
-	return nil
+	fs.Func("search-batch", "batch size of the search objective (0 = "+batch+")", func(v string) error {
+		b, err := strconv.Atoi(v)
+		if err != nil {
+			return err
+		}
+		if b != 0 {
+			if err := sim.CheckBatch(b); err != nil {
+				return err
+			}
+		}
+		s.Batch = b
+		return nil
+	})
 }
 
 // ArchFlags registers the -k and -cols-per-adc architecture overrides

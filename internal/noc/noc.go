@@ -101,44 +101,36 @@ func (c Config) Transfer(bytes int64, hops, chipHops int) (latencyNs, energyPJ f
 // directed edge serialize.
 type Link struct{ From, To int }
 
-// RouteXY returns the directed links of the XY (dimension-ordered)
-// route between two node-local tiles: all X hops first, then Y — the
-// same deterministic routing the Hops metric assumes. An empty route
-// means source and destination share a tile.
-func (c Config) RouteXY(a, b int) ([]Link, error) {
+// RouteXY appends to dst the directed links of the XY
+// (dimension-ordered) route between two node-local tiles: all X hops
+// first, then Y — the same deterministic routing the Hops metric
+// assumes. It appends nothing when source and destination share a
+// tile. A caller routing many transfers passes one reused buffer.
+func (c Config) RouteXY(dst []Link, a, b int) ([]Link, error) {
 	ca, err := c.tileCoord(a)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	cb, err := c.tileCoord(b)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var route []Link
-	cur := ca
-	step := func(next Coord) {
-		route = append(route, Link{From: cur.Y*c.MeshWidth + cur.X, To: next.Y*c.MeshWidth + next.X})
-		cur = next
-	}
-	for cur.X != cb.X {
+	for cur := ca; cur != cb; {
 		next := cur
-		if cb.X > cur.X {
+		switch {
+		case cur.X < cb.X:
 			next.X++
-		} else {
+		case cur.X > cb.X:
 			next.X--
-		}
-		step(next)
-	}
-	for cur.Y != cb.Y {
-		next := cur
-		if cb.Y > cur.Y {
+		case cur.Y < cb.Y:
 			next.Y++
-		} else {
+		default:
 			next.Y--
 		}
-		step(next)
+		dst = append(dst, Link{From: cur.Y*c.MeshWidth + cur.X, To: next.Y*c.MeshWidth + next.X})
+		cur = next
 	}
-	return route, nil
+	return dst, nil
 }
 
 // ChipDistance is the chip-hop count between two nodes: the serial

@@ -134,12 +134,18 @@ func TestAverageHops(t *testing.T) {
 
 func TestRouteXYMatchesHops(t *testing.T) {
 	c := DefaultConfig(4)
+	// RouteXY appends: the buffer's links stay ahead of the route's.
+	buf := []Link{{-1, -1}}
 	for a := 0; a < 16; a++ {
 		for b := 0; b < 16; b++ {
-			route, err := c.RouteXY(a, b)
+			route, err := c.RouteXY(buf, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if route[0] != buf[0] {
+				t.Fatalf("route %d->%d overwrote the buffer: %v", a, b, route)
+			}
+			route = route[1:]
 			hops, err := c.Hops(a, b)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +167,7 @@ func TestRouteXYMatchesHops(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.RouteXY(-1, 3); err == nil {
+	if _, err := c.RouteXY(nil, -1, 3); err == nil {
 		t.Fatal("bad tile must error")
 	}
 }
@@ -189,7 +195,7 @@ func TestRouteXYToEgressCorner(t *testing.T) {
 	// X-first dimension order: from tile 15 (3,3) the route walks row 3
 	// to column 0, then column 0 up to the corner — the exact spine edges
 	// co-located programs contend on.
-	route, err := c.RouteXY(15, c.EgressTile())
+	route, err := c.RouteXY(nil, 15, c.EgressTile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestRouteXYToEgressCorner(t *testing.T) {
 	// Every tile of the bottom row funnels through the same final edge
 	// 4->0: the shared-spine contention the multi-program engine models.
 	for _, from := range []int{4, 8, 12} {
-		r, err := c.RouteXY(from, 0)
+		r, err := c.RouteXY(nil, from, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +220,7 @@ func TestRouteXYToEgressCorner(t *testing.T) {
 		}
 	}
 	// Egress from the corner itself uses no mesh links at all.
-	r, err := c.RouteXY(0, 0)
+	r, err := c.RouteXY(nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func (p *Pricer) price(b int) *sim.BatchResult {
 		var err error
 		br, err = p.eng.RunBatch(b)
 		if err != nil {
-			return nil // unreachable for b ≥ 1; keep the serving path alive
+			return nil // b above sim.MaxBatch; keep the serving path alive
 		}
 		br = br.Clone()
 		p.memo[b] = br

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"einsteinbarrier/internal/arch"
@@ -81,10 +80,6 @@ type engineStage struct {
 	chipPorts []int      // nodes whose chip ports the forward route occupies
 	bulk      []bulkXfer // gather + scatter drain traffic
 	conflicts []int      // indices of other stages sharing a tile with this one
-	// routeKey encodes what tiles, links, ports and bulk transfers were
-	// built from (sendBytes, this layer's shards, the next layer's); a
-	// configure whose key matches keeps them and their priv binding.
-	routeKey []int
 }
 
 // busySpan is one booked occupancy of an interconnect resource.
@@ -395,53 +390,44 @@ type binding struct {
 // slices.
 func (e *Engine) bindTo(fb *fabricClock, bd *binding) {
 	bd.fb = fb
-	bd.resize(len(e.stages))
-	for i := range e.stages {
-		bindStage(fb, &e.stages[i], &bd.st[i])
-	}
-}
-
-// resize sets the binding's stage count, keeping the bound stages.
-func (bd *binding) resize(n int) {
-	if cap(bd.st) < n {
-		st := make([]boundStage, n)
-		copy(st, bd.st[:cap(bd.st)])
+	if cap(bd.st) < len(e.stages) {
+		st := make([]boundStage, len(e.stages))
+		copy(st, bd.st)
 		bd.st = st
 	} else {
-		bd.st = bd.st[:n]
+		bd.st = bd.st[:len(e.stages)]
 	}
-}
-
-// bindStage resolves one stage's routes against fb into bs, reusing
-// bs's slices.
-func bindStage(fb *fabricClock, st *engineStage, bs *boundStage) {
-	bs.fwdLinks = bs.fwdLinks[:0]
-	bs.fwdPorts = bs.fwdPorts[:0]
-	for _, k := range st.links {
-		bs.fwdLinks = append(bs.fwdLinks, fb.fwd.linkID(k))
-	}
-	for _, p := range st.chipPorts {
-		bs.fwdPorts = append(bs.fwdPorts, fb.fwd.chipID(p))
-	}
-	if cap(bs.bulk) < len(st.bulk) {
-		bk := make([]boundXfer, len(st.bulk))
-		copy(bk, bs.bulk)
-		bs.bulk = bk
-	} else {
-		bs.bulk = bs.bulk[:len(st.bulk)]
-	}
-	for bi := range st.bulk {
-		bt := &st.bulk[bi]
-		bx := &bs.bulk[bi]
-		bx.links = bx.links[:0]
-		bx.ports = bx.ports[:0]
-		for _, k := range bt.links {
-			bx.links = append(bx.links, fb.bulk.linkID(k))
+	for i := range e.stages {
+		st := &e.stages[i]
+		bs := &bd.st[i]
+		bs.fwdLinks = bs.fwdLinks[:0]
+		bs.fwdPorts = bs.fwdPorts[:0]
+		for _, k := range st.links {
+			bs.fwdLinks = append(bs.fwdLinks, fb.fwd.linkID(k))
 		}
-		for _, p := range bt.ports {
-			bx.ports = append(bx.ports, fb.bulk.chipID(p))
+		for _, p := range st.chipPorts {
+			bs.fwdPorts = append(bs.fwdPorts, fb.fwd.chipID(p))
 		}
-		bx.serNs = bt.serNs
+		if cap(bs.bulk) < len(st.bulk) {
+			bk := make([]boundXfer, len(st.bulk))
+			copy(bk, bs.bulk)
+			bs.bulk = bk
+		} else {
+			bs.bulk = bs.bulk[:len(st.bulk)]
+		}
+		for bi := range st.bulk {
+			bt := &st.bulk[bi]
+			bx := &bs.bulk[bi]
+			bx.links = bx.links[:0]
+			bx.ports = bx.ports[:0]
+			for _, k := range bt.links {
+				bx.links = append(bx.links, fb.bulk.linkID(k))
+			}
+			for _, p := range bt.ports {
+				bx.ports = append(bx.ports, fb.bulk.chipID(p))
+			}
+			bx.serNs = bt.serNs
+		}
 	}
 }
 
@@ -471,11 +457,10 @@ type Engine struct {
 	resUsed   int
 	bsScratch [1]int
 	brScratch [1]*BatchResult
-	// construction scratch reused across reprice calls: the route key
-	// under construction, per-tile marks of the conflict pass, and the
-	// bottleneck's per-tile and per-resource busy sums.
+	// construction scratch reused across reprice calls: per-tile marks
+	// of the conflict pass and the bottleneck's per-tile and
+	// per-resource busy sums.
 	lb        *linkBuilder
-	keyBuf    []int
 	tileMark  []int32
 	tileBusy  []float64
 	fwdTally  resTally
@@ -540,41 +525,93 @@ func (e *Engine) configure(c *compiler.Compiled) error {
 	} else {
 		e.lb.mesh, e.lb.cfg = mesh, cfg
 	}
+	lb := e.lb
 	if cap(e.stages) < len(costs) {
 		st := make([]engineStage, len(costs))
-		copy(st, e.stages[:cap(e.stages)])
+		copy(st, e.stages)
 		e.stages = st
 	} else {
 		e.stages = e.stages[:len(costs)]
 	}
-	e.priv.fb = e.fb
-	e.priv.resize(len(costs))
 	maxTile := 0
 	for i, sc := range costs {
 		st := &e.stages[i]
 		st.name = sc.name
 		st.serviceNs = sc.serviceNs
 		st.sendLatNs = sc.sendLatNs
+		st.sendSerNs, st.chipSerNs = 0, 0
+		st.tiles = pl.GlobalTiles(i, cfg)
+		st.links = st.links[:0]
+		st.chipPorts = st.chipPorts[:0]
+		st.bulk = st.bulk[:0]
 		st.conflicts = st.conflicts[:0]
-		// A stage's tiles and routes depend only on sendBytes and on this
-		// layer's and the next layer's shards. A candidate that moved
-		// other layers keeps them, and their ids stay bound: resource
-		// ids are sticky per fabric clock.
-		e.keyBuf = append(e.keyBuf[:0], int(sc.sendBytes))
-		e.keyBuf = appendShards(e.keyBuf, pl.Layers[i].Shards)
-		if i+1 < len(costs) {
-			e.keyBuf = appendShards(e.keyBuf, pl.Layers[i+1].Shards)
-		}
-		if !slices.Equal(st.routeKey, e.keyBuf) {
-			st.routeKey = st.routeKey[:0] // stale until the rebuild succeeds
-			if err := e.buildRoutes(st, pl, i, len(costs), sc.sendBytes); err != nil {
-				return err
-			}
-			bindStage(e.fb, st, &e.priv.st[i])
-			st.routeKey = append(st.routeKey, e.keyBuf...)
-		}
 		for _, t := range st.tiles {
 			maxTile = max(maxTile, t)
+		}
+		if sc.sendBytes > 0 {
+			st.sendSerNs = mesh.SerializationNs(sc.sendBytes)
+			st.chipSerNs = mesh.ChipHopNs
+			srcChip, srcTile := pl.Layers[i].Anchor()
+			// Forward route: anchor to the consumer's anchor (or the host
+			// through the egress corner after the last stage).
+			lb.reset()
+			dstChip, dstTile := -1, 0
+			if i+1 < len(costs) {
+				dstChip, dstTile = pl.Layers[i+1].Anchor()
+			}
+			if err := lb.addRoute(srcChip, srcTile, dstChip, dstTile); err != nil {
+				return err
+			}
+			st.links = append(st.links, lb.links...)
+			st.chipPorts = append(st.chipPorts, lb.ports...)
+			// Bulk drain traffic: one gather per non-anchor tile of this
+			// stage (each carries its slice of the output) and one
+			// scatter per tile of the consumer (the activation is
+			// broadcast — every consumer tile needs the full input).
+			nTiles := len(st.tiles)
+			gatherSer := mesh.SerializationNs((sc.sendBytes + int64(nTiles) - 1) / int64(nTiles))
+			addBulk := func(sc2, st2, dc, dt int, ser float64) error {
+				lb.reset()
+				if err := lb.addRoute(sc2, st2, dc, dt); err != nil {
+					return err
+				}
+				if len(lb.links)+len(lb.ports) == 0 {
+					return nil
+				}
+				n := len(st.bulk)
+				if n < cap(st.bulk) {
+					st.bulk = st.bulk[:n+1]
+				} else {
+					st.bulk = append(st.bulk, bulkXfer{})
+				}
+				bx := &st.bulk[n]
+				bx.links = append(bx.links[:0], lb.links...)
+				bx.ports = append(bx.ports[:0], lb.ports...)
+				bx.serNs = ser
+				return nil
+			}
+			for _, sh := range pl.Layers[i].Shards {
+				for _, t := range sh.Tiles {
+					if sh.Chip == srcChip && t == srcTile {
+						continue
+					}
+					if err := addBulk(sh.Chip, t, srcChip, srcTile, gatherSer); err != nil {
+						return err
+					}
+				}
+			}
+			if i+1 < len(costs) {
+				for _, sh := range pl.Layers[i+1].Shards {
+					for _, t := range sh.Tiles {
+						if sh.Chip == dstChip && t == dstTile {
+							continue
+						}
+						if err := addBulk(dstChip, dstTile, sh.Chip, t, st.sendSerNs); err != nil {
+							return err
+						}
+					}
+				}
+			}
 		}
 	}
 	// Stages whose tile footprints overlap (the greedy allocator packs
@@ -603,99 +640,11 @@ func (e *Engine) configure(c *compiler.Compiled) error {
 	e.tileFree = resized(e.tileFree, len(e.stages))
 	e.busyNs = resized(e.busyNs, len(e.stages))
 	e.drainReady = resized(e.drainReady, len(e.stages))
+	e.bindTo(e.fb, &e.priv)
 	e.fb.seal(&e.priv)
 	// The steady-state bottleneck is a static property of the stages and
 	// routes; computing it here keeps snapshot allocation-free.
 	e.bneckNs, e.bneckName = e.bottleneck(maxTile)
-	return nil
-}
-
-// appendShards appends a length-prefixed encoding of a layer's shard
-// chips and tiles to a route key.
-func appendShards(k []int, shards []compiler.Shard) []int {
-	k = append(k, len(shards))
-	for _, sh := range shards {
-		k = append(k, sh.Chip, len(sh.Tiles))
-		k = append(k, sh.Tiles...)
-	}
-	return k
-}
-
-// buildRoutes rebuilds stage i's tile footprint, forward route and bulk
-// drain transfers from the placement.
-func (e *Engine) buildRoutes(st *engineStage, pl *compiler.Placement, i, nStages int, sendBytes int64) error {
-	mesh, lb := e.mesh, e.lb
-	st.tiles = pl.GlobalTiles(i, e.sim.cfg)
-	st.links = st.links[:0]
-	st.chipPorts = st.chipPorts[:0]
-	st.bulk = st.bulk[:0]
-	st.sendSerNs, st.chipSerNs = 0, 0
-	if sendBytes <= 0 {
-		return nil
-	}
-	st.sendSerNs = mesh.SerializationNs(sendBytes)
-	st.chipSerNs = mesh.ChipHopNs
-	srcChip, srcTile := pl.Layers[i].Anchor()
-	// Forward route: anchor to the consumer's anchor (or the host
-	// through the egress corner after the last stage).
-	lb.reset()
-	dstChip, dstTile := -1, 0
-	if i+1 < nStages {
-		dstChip, dstTile = pl.Layers[i+1].Anchor()
-	}
-	if err := lb.addRoute(srcChip, srcTile, dstChip, dstTile); err != nil {
-		return err
-	}
-	st.links = append(st.links, lb.links...)
-	st.chipPorts = append(st.chipPorts, lb.ports...)
-	// Bulk drain traffic: one gather per non-anchor tile of this
-	// stage (each carries its slice of the output) and one
-	// scatter per tile of the consumer (the activation is
-	// broadcast — every consumer tile needs the full input).
-	nTiles := len(st.tiles)
-	gatherSer := mesh.SerializationNs((sendBytes + int64(nTiles) - 1) / int64(nTiles))
-	addBulk := func(sc2, st2, dc, dt int, ser float64) error {
-		lb.reset()
-		if err := lb.addRoute(sc2, st2, dc, dt); err != nil {
-			return err
-		}
-		if len(lb.links)+len(lb.ports) == 0 {
-			return nil
-		}
-		n := len(st.bulk)
-		if n < cap(st.bulk) {
-			st.bulk = st.bulk[:n+1]
-		} else {
-			st.bulk = append(st.bulk, bulkXfer{})
-		}
-		bx := &st.bulk[n]
-		bx.links = append(bx.links[:0], lb.links...)
-		bx.ports = append(bx.ports[:0], lb.ports...)
-		bx.serNs = ser
-		return nil
-	}
-	for _, sh := range pl.Layers[i].Shards {
-		for _, t := range sh.Tiles {
-			if sh.Chip == srcChip && t == srcTile {
-				continue
-			}
-			if err := addBulk(sh.Chip, t, srcChip, srcTile, gatherSer); err != nil {
-				return err
-			}
-		}
-	}
-	if i+1 < nStages {
-		for _, sh := range pl.Layers[i+1].Shards {
-			for _, t := range sh.Tiles {
-				if sh.Chip == dstChip && t == dstTile {
-					continue
-				}
-				if err := addBulk(dstChip, dstTile, sh.Chip, t, st.sendSerNs); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -716,6 +665,7 @@ type linkBuilder struct {
 	cfg   arch.Config
 	links []linkKey
 	ports []int
+	route []noc.Link // RouteXY scratch
 	seenL map[linkKey]bool
 	seenP map[int]bool
 }
@@ -748,34 +698,33 @@ func (lb *linkBuilder) addPort(node int) {
 	}
 }
 
+// addXY adds the links of the XY route between two tiles of one node.
+func (lb *linkBuilder) addXY(node, a, b int) error {
+	route, err := lb.mesh.RouteXY(lb.route[:0], a, b)
+	lb.route = route
+	if err != nil {
+		return err
+	}
+	lb.addLinks(node, route)
+	return nil
+}
+
 // addRoute adds the links of one transfer. dstChip -1 means the host:
 // the transfer drains to the source chip's egress corner and out its
 // port.
 func (lb *linkBuilder) addRoute(srcChip, srcTile, dstChip, dstTile int) error {
 	if srcChip == dstChip {
-		route, err := lb.mesh.RouteXY(srcTile, dstTile)
-		if err != nil {
-			return err
-		}
-		lb.addLinks(srcChip, route)
-		return nil
+		return lb.addXY(srcChip, srcTile, dstTile)
 	}
-	out, err := lb.mesh.RouteXY(srcTile, lb.mesh.EgressTile())
-	if err != nil {
+	if err := lb.addXY(srcChip, srcTile, lb.mesh.EgressTile()); err != nil {
 		return err
 	}
-	lb.addLinks(srcChip, out)
 	lb.addPort(srcChip)
 	if dstChip < 0 {
 		return nil
 	}
 	lb.addPort(dstChip)
-	in, err := lb.mesh.RouteXY(lb.mesh.EgressTile(), dstTile)
-	if err != nil {
-		return err
-	}
-	lb.addLinks(dstChip, in)
-	return nil
+	return lb.addXY(dstChip, lb.mesh.EgressTile(), dstTile)
 }
 
 // Result returns the embedded single-inference pricing (bit-identical
@@ -985,8 +934,9 @@ func (e *Engine) RunBatches(bs []int) ([]*BatchResult, error) {
 // not an allocation.
 const MaxBatch = 1 << 16
 
-// checkBatch rejects a batch size the engine cannot run.
-func checkBatch(b int) error {
+// CheckBatch rejects a batch size the engine cannot run. Commands call
+// it on their batch flags so a bad size fails before any output.
+func CheckBatch(b int) error {
 	if b < 1 || b > MaxBatch {
 		return fmt.Errorf("sim: batch size %d outside [1, %d]", b, MaxBatch)
 	}
@@ -1001,7 +951,7 @@ func (e *Engine) runBatches(bs []int, out []*BatchResult) error {
 	}
 	maxB := 0
 	for _, b := range bs {
-		if err := checkBatch(b); err != nil {
+		if err := CheckBatch(b); err != nil {
 			return err
 		}
 		maxB = max(maxB, b)

@@ -169,7 +169,7 @@ type SetResult struct {
 // round-robin by sample (sample i of every model is admitted before
 // sample i+1 of any). Deterministic: same set, same b, same result.
 func (es *EngineSet) RunSet(b int) (*SetResult, error) {
-	if err := checkBatch(b); err != nil {
+	if err := CheckBatch(b); err != nil {
 		return nil, err
 	}
 	// Isolated baselines first (each on a private fabric clock). These

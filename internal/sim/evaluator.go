@@ -165,7 +165,7 @@ type PlacementEvaluator struct {
 // PlacementEvaluator builds an evaluator that prices candidates with
 // Engine.RunBatch at the given batch size.
 func (s *Simulator) PlacementEvaluator(batch int) (*PlacementEvaluator, error) {
-	if err := checkBatch(batch); err != nil {
+	if err := CheckBatch(batch); err != nil {
 		return nil, err
 	}
 	return &PlacementEvaluator{s: s, batch: batch, memo: newMemo[*BatchResult, *Engine]()}, nil
@@ -255,7 +255,7 @@ func (s *Simulator) SetEvaluator(set []*compiler.Compiled, idx, batch int) (*Set
 	if idx < 0 || idx >= len(set) {
 		return nil, fmt.Errorf("sim: set evaluator slot %d outside set of %d", idx, len(set))
 	}
-	if err := checkBatch(batch); err != nil {
+	if err := CheckBatch(batch); err != nil {
 		return nil, err
 	}
 	cp := make([]*compiler.Compiled, len(set))

@@ -11,9 +11,9 @@ import (
 
 // checkedEvaluator wraps a PlacementEvaluator in a real search and
 // checks every candidate it scores against a freshly built engine: the
-// pooled engine re-prices a candidate that moved one or two layers and
-// keeps the other stages' routes, so any stale route, binding or
-// bottleneck tally shows up as a difference here.
+// pooled engine re-prices each candidate into the stage, binding,
+// calendar and bottleneck-tally slices of the one before, so any stale
+// state left in them shows up as a difference here.
 type checkedEvaluator struct {
 	t      *testing.T
 	s      *Simulator
@@ -64,10 +64,10 @@ func (ce *checkedEvaluator) Score(c *compiler.Compiled) (float64, error) {
 }
 
 // TestSearchRepriceMatchesFreshEngine runs real cold searches through
-// the checked evaluator: every candidate's pooled, route-reusing
-// engine must give the fresh engine's BatchResult bit for bit, its
-// dense bottleneck tally must match the map-based reference, and the
-// achieved throughput must stay under the analytic ceiling.
+// the checked evaluator: every candidate's pooled engine must give the
+// fresh engine's BatchResult bit for bit, its dense bottleneck tally
+// must match the map-based reference, and the achieved throughput must
+// stay under the analytic ceiling.
 func TestSearchRepriceMatchesFreshEngine(t *testing.T) {
 	s := newSim(t)
 	cfg := arch.DefaultConfig()
