@@ -117,6 +117,19 @@ func TestUnknownDesignAndFigError(t *testing.T) {
 			t.Fatalf("%v must fail before any output: err %v, wrote %q", args, err, buf.String())
 		}
 	}
+	// A negative -k or -cols-per-adc fails its flag parse rather than
+	// falling back to the architecture default: the flag package's
+	// report of the error is the only output.
+	for _, args := range [][]string{
+		{"-fig", "7", "-k", "-3"},
+		{"-fig", "7", "-cols-per-adc", "-1"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.HasPrefix(buf.String(), err.Error()+"\n") {
+			t.Fatalf("%v must fail its flag parse: err %v, wrote %q", args, err, buf.String())
+		}
+	}
 	if err := run([]string{"-fig", "7", "-csv", "-json"}, &out); err == nil {
 		t.Fatal("-csv with -json must error")
 	}

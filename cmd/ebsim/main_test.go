@@ -105,6 +105,19 @@ func TestPlacerDrillDown(t *testing.T) {
 			t.Fatalf("%v must fail before any output: err %v, wrote %q", args, err, buf.String())
 		}
 	}
+	// A negative -k or -cols-per-adc fails its flag parse rather than
+	// falling back to the architecture default: the flag package's
+	// report of the error is the only output.
+	for _, args := range [][]string{
+		{"-model", "CNN-S", "-design", "eb", "-k", "-3"},
+		{"-model", "CNN-S", "-design", "eb", "-cols-per-adc", "-1"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.HasPrefix(buf.String(), err.Error()+"\n") {
+			t.Fatalf("%v must fail its flag parse: err %v, wrote %q", args, err, buf.String())
+		}
+	}
 }
 
 // TestOneAnswerPerModelDesign: one model × design × placer gets one

@@ -17,8 +17,8 @@ import (
 
 // Design is a handle into the design registry (registry.go). The three
 // constants below are the paper's evaluated CIM designs (§V-B), which
-// occupy the first registry slots; further designs are added with
-// MustRegister and resolved by name with ParseDesign.
+// occupy the first registry slots; further designs are mustRegister
+// entries in registry.go, resolved by name with ParseDesign.
 type Design int
 
 const (

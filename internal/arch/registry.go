@@ -133,9 +133,9 @@ func register(s DesignSpec) (Design, error) {
 	return d, nil
 }
 
-// MustRegister is register that panics on error — for package-level
+// mustRegister is register that panics on error — for package-level
 // design declarations.
-func MustRegister(s DesignSpec) Design {
+func mustRegister(s DesignSpec) Design {
 	d, err := register(s)
 	if err != nil {
 		panic(err)
@@ -213,7 +213,7 @@ var (
 	// and the cost hook charges a higher-resolution ADC (2× energy,
 	// 1.5× conversion latency). Binary layers keep the two-level
 	// mapping, preserving the paper's §II-C robustness argument.
-	MLCEPCM = MustRegister(DesignSpec{
+	MLCEPCM = mustRegister(DesignSpec{
 		Name:    "MLC-ePCM",
 		Aliases: []string{"mlc"},
 		Tech:    device.EPCM,
@@ -229,7 +229,7 @@ var (
 	// transmitter power of Eq. (3) grows with K through EffectiveK, so
 	// the latency gain on convolutional layers is bought with optical
 	// static energy.
-	EinsteinBarrierK64 = MustRegister(DesignSpec{
+	EinsteinBarrierK64 = mustRegister(DesignSpec{
 		Name:        "EinsteinBarrier-K64",
 		Aliases:     []string{"eb64", "wide-k"},
 		Tech:        device.OPCM,
@@ -242,7 +242,7 @@ var (
 // mustRegisterAt registers a built-in spec and asserts it lands on its
 // reserved Design constant.
 func mustRegisterAt(want Design, s DesignSpec) Design {
-	d := MustRegister(s)
+	d := mustRegister(s)
 	if d != want {
 		panic(fmt.Sprintf("arch: built-in design %q registered as %d, want %d", s.Name, d, want))
 	}

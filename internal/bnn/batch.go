@@ -401,10 +401,10 @@ func (f *Flatten) forwardBatch(x *batchAct) *batchAct {
 
 // --- Fan-out fallback -------------------------------------------------
 
-// fanScratch runs one layer without a native batch path (ConvFP, or
-// any external Layer) by de-transposing each live lane, calling the
-// per-sample Forward, and re-transposing the outputs — trivially
-// bit-identical, at per-sample cost.
+// fanScratch runs the one layer without a native batch path, ConvFP
+// (Layer is sealed, so nothing else reaches it), by de-transposing each
+// live lane, calling the per-sample Forward, and re-transposing the
+// outputs — trivially bit-identical, at per-sample cost.
 type fanScratch struct {
 	in       *tensor.Float
 	out      lanedFloat

@@ -20,19 +20,6 @@ type ReprogramCost struct {
 	LatencyNs   float64
 }
 
-// TotalWrites is the number of cell writes priced.
-func (c ReprogramCost) TotalWrites() int64 { return c.SetWrites + c.ResetWrites }
-
-// Add accumulates o into c (counts and energy sum; latency sums too —
-// tiles share programming circuitry, so recalibration is serialized
-// across tiles).
-func (c *ReprogramCost) Add(o ReprogramCost) {
-	c.SetWrites += o.SetWrites
-	c.ResetWrites += o.ResetWrites
-	c.EnergyPJ += o.EnergyPJ
-	c.LatencyNs += o.LatencyNs
-}
-
 // reprogramEPCM prices an ePCM recalibration: setWrites SET pulses and
 // resetWrites RESET pulses over a rows-tall array (rows ≤ 0 is treated
 // as 1, i.e. fully serial programming).

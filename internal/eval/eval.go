@@ -93,16 +93,31 @@ func SearchFlags(fs *flag.FlagSet, s *SearchSpec, batch string) {
 }
 
 // ArchFlags registers the -k and -cols-per-adc architecture overrides
-// on fs. The returned func applies the ones set (> 0) to a config.
+// on fs; a negative value fails the parse. The returned func applies
+// the ones set (> 0) to a config.
 func ArchFlags(fs *flag.FlagSet) func(*arch.Config) {
-	k := fs.Int("k", 0, "override WDM capacity (default: architecture default 16)")
-	colsPerADC := fs.Int("cols-per-adc", 0, "override ADC sharing factor")
-	return func(c *arch.Config) {
-		if *k > 0 {
-			c.WDMCapacity = *k
+	var k, colsPerADC int
+	nonNegative := func(dst *int) func(string) error {
+		return func(v string) error {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return err
+			}
+			if n < 0 {
+				return fmt.Errorf("%d is negative", n)
+			}
+			*dst = n
+			return nil
 		}
-		if *colsPerADC > 0 {
-			c.ColumnsPerADC = *colsPerADC
+	}
+	fs.Func("k", "override WDM capacity (0 = architecture default 16)", nonNegative(&k))
+	fs.Func("cols-per-adc", "override ADC sharing factor (0 = architecture default)", nonNegative(&colsPerADC))
+	return func(c *arch.Config) {
+		if k > 0 {
+			c.WDMCapacity = k
+		}
+		if colsPerADC > 0 {
+			c.ColumnsPerADC = colsPerADC
 		}
 	}
 }

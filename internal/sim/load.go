@@ -63,13 +63,3 @@ func WeightLoadCost(c *compiler.Compiled, cfg arch.Config) (LoadCost, error) {
 		Writes:    c.WeightWrites,
 	}, nil
 }
-
-// AmortizedOverhead returns the fraction the load adds to a batch of n
-// inferences of the given per-inference latency: load/(n·t). CIM's
-// premise is that this tends to zero for resident weights.
-func (l LoadCost) AmortizedOverhead(inferenceNs float64, n int) float64 {
-	if n < 1 || inferenceNs <= 0 {
-		return 0
-	}
-	return l.LatencyNs / (float64(n) * inferenceNs)
-}

@@ -39,31 +39,6 @@ func TestLoadScalesWithModel(t *testing.T) {
 	}
 }
 
-func TestAmortizedOverheadShrinks(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	s := newSim(t)
-	c := compiled(t, "CNN-S", arch.EinsteinBarrier)
-	r, err := s.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := WeightLoadCost(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := lc.AmortizedOverhead(r.LatencyNs, 1)
-	many := lc.AmortizedOverhead(r.LatencyNs, 10000)
-	if one <= many {
-		t.Fatal("amortization must shrink with batch size")
-	}
-	if many > 0.05 {
-		t.Fatalf("resident-weight overhead %.4f should be negligible at 10k inferences", many)
-	}
-	if lc.AmortizedOverhead(0, 10) != 0 || lc.AmortizedOverhead(100, 0) != 0 {
-		t.Fatal("degenerate inputs must yield 0")
-	}
-}
-
 func TestWeightLoadCostErrors(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	if _, err := WeightLoadCost(&compiler.Compiled{}, cfg); err == nil {
